@@ -1,5 +1,7 @@
 #include "src/core/cleartext.h"
 
+#include <cstring>
+
 #include "src/crypto/chacha20.h"
 #include "src/crypto/sha256.h"
 #include "src/util/serialize.h"
@@ -10,15 +12,33 @@ namespace {
 constexpr size_t kSeedBytes = 16;
 constexpr uint32_t kMagic = 0xd155e27a;
 
-// Expands the 16-byte slot seed into a mask keyed for this purpose only.
-Bytes MaskFor(const Bytes& seed, size_t len) {
+// The mask keystream for a slot seed, keyed for this purpose only.
+ChaCha20Stream MaskStream(const uint8_t* seed) {
   Writer w;
   w.Str("dissent.slot.mask");
-  w.Blob(seed);
-  Bytes key = Sha256::Hash(w.data());
-  Bytes nonce(12, 0x5f);
-  ChaCha20Stream stream(key, nonce);
-  return stream.Generate(len);
+  w.Blob(Bytes(seed, seed + kSeedBytes));
+  static const Bytes kNonce(12, 0x5f);
+  return ChaCha20Stream(Sha256::Hash(w.data()), kNonce);
+}
+
+uint32_t LoadLE32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// True iff every byte of [p, p + n) is zero, checked a word at a time.
+bool AllZero(const uint8_t* p, size_t n) {
+  uint64_t acc = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    acc |= w;
+  }
+  for (; i < n; ++i) {
+    acc |= p[i];
+  }
+  return acc == 0;
 }
 }  // namespace
 
@@ -46,8 +66,7 @@ std::optional<Bytes> EncodeSlot(const SlotPayload& p, size_t slot_length, Secure
   body_bytes.resize(slot_length - kSeedBytes, 0);  // zero fill
 
   Bytes seed = rng.RandomBytes(kSeedBytes);
-  Bytes mask = MaskFor(seed, body_bytes.size());
-  XorInto(body_bytes, mask);
+  MaskStream(seed.data()).XorStreamRaw(body_bytes.data(), body_bytes.size());
 
   Bytes out;
   out.reserve(slot_length);
@@ -56,41 +75,37 @@ std::optional<Bytes> EncodeSlot(const SlotPayload& p, size_t slot_length, Secure
   return out;
 }
 
-std::optional<SlotPayload> DecodeSlot(const Bytes& region) {
-  if (region.size() < SlotOverheadBytes()) {
+std::optional<SlotPayload> DecodeSlot(const uint8_t* region, size_t len) {
+  constexpr size_t kHeaderBytes = 4 + 4 + 2 + 4;
+  if (len < SlotOverheadBytes()) {
     return std::nullopt;
   }
-  Bytes seed(region.begin(), region.begin() + kSeedBytes);
-  Bytes body(region.begin() + kSeedBytes, region.end());
-  Bytes mask = MaskFor(seed, body.size());
-  XorInto(body, mask);
-
-  Reader r(body);
-  uint32_t magic, next_length, payload_len;
-  uint16_t shuffle_request;
-  if (!r.U32(&magic) || magic != kMagic) {
+  // Unmask the body in one buffer, then parse it in place.
+  Bytes body(region + kSeedBytes, region + len);
+  MaskStream(region).XorStreamRaw(body.data(), body.size());
+  const uint8_t* b = body.data();
+  if (LoadLE32(b) != kMagic) {
     return std::nullopt;
   }
-  if (!r.U32(&next_length) || !r.U16(&shuffle_request) || !r.U32(&payload_len)) {
+  const uint32_t payload_len = LoadLE32(b + 10);
+  if (payload_len > body.size() - kHeaderBytes) {
     return std::nullopt;
   }
-  if (payload_len > r.remaining()) {
+  // Everything past the payload must be the zero fill — anything else is
+  // corruption.
+  const size_t fill = kHeaderBytes + payload_len;
+  if (!AllZero(b + fill, body.size() - fill)) {
     return std::nullopt;
   }
   SlotPayload p;
-  p.next_length = next_length;
-  p.shuffle_request = shuffle_request;
-  if (!r.Raw(payload_len, &p.payload)) {
-    return std::nullopt;
-  }
-  // Remaining bytes must be the zero fill — anything else is corruption.
-  while (r.remaining() > 0) {
-    uint8_t b;
-    if (!r.U8(&b) || b != 0) {
-      return std::nullopt;
-    }
-  }
+  p.next_length = LoadLE32(b + 4);
+  p.shuffle_request = static_cast<uint16_t>(b[8] | b[9] << 8);
+  p.payload.assign(b + kHeaderBytes, b + fill);
   return p;
+}
+
+std::optional<SlotPayload> DecodeSlot(const Bytes& region) {
+  return DecodeSlot(region.data(), region.size());
 }
 
 }  // namespace dissent

@@ -37,6 +37,9 @@ std::optional<Bytes> EncodeSlot(const SlotPayload& p, size_t slot_length, Secure
 
 // Decodes a slot region; nullopt for absent (all zero) or garbled content.
 std::optional<SlotPayload> DecodeSlot(const Bytes& region);
+// The same over the `len` bytes at `region` (a slot inside a full round
+// cleartext), without copying the region out first.
+std::optional<SlotPayload> DecodeSlot(const uint8_t* region, size_t len);
 
 }  // namespace dissent
 

@@ -5,7 +5,7 @@
 
 #include "src/core/dcnet.h"
 #include "src/core/key_shuffle.h"
-#include "src/core/output_cert.h"
+#include "src/core/output_view.h"
 #include "src/crypto/dh.h"
 #include "src/crypto/sha256.h"
 #include "src/util/serialize.h"
@@ -52,7 +52,7 @@ const SlotSchedule& DissentClient::ScheduleFor(uint64_t round) const {
   return offset < scheds_.size() ? scheds_[offset] : scheds_.back();
 }
 
-void DissentClient::AdvanceSchedules(uint64_t round, const Bytes& cleartext) {
+void DissentClient::AdvanceSchedules(uint64_t round, const DecodedOutput& decoded) {
   // This output determines the layout of round + pipeline_depth: the lagged
   // evolution is layout(r+depth) = Advance(layout(r), output(r)), so the
   // cleartext must be interpreted with the layout of the round it was built
@@ -60,7 +60,7 @@ void DissentClient::AdvanceSchedules(uint64_t round, const Bytes& cleartext) {
   // already differ at depth > 1, which would mean reading past the output's
   // end). Rebase the window even if outputs were skipped while offline.
   SlotSchedule next = scheds_.front();
-  next.Advance(cleartext);
+  next.Advance(decoded);
   scheds_.push_back(std::move(next));
   scheds_.pop_front();
   sched_base_round_ = round + 1;
@@ -149,16 +149,15 @@ Bytes DissentClient::BuildCiphertext(uint64_t round) {
   return cleartext;
 }
 
-DissentClient::OutputResult DissentClient::ProcessOutput(
-    uint64_t round, const Bytes& cleartext, const std::vector<SchnorrSignature>& server_sigs) {
+DissentClient::OutputResult DissentClient::ProcessOutput(uint64_t round, const Bytes& cleartext,
+                                                        const std::vector<Bytes>& server_sigs) {
   OutputResult result;
-  result.signatures_ok =
-      VerifyOutputCertificate(def_, round, cleartext, server_sigs);
-  if (!result.signatures_ok) {
+  const SlotSchedule& layout = ScheduleFor(round);
+  auto decoded = AcceptCertifiedOutput(def_, round, cleartext, server_sigs, layout);
+  if (decoded == nullptr) {
     return result;
   }
-
-  const SlotSchedule& layout = ScheduleFor(round);
+  result.signatures_ok = true;
 
   // Witness-bit scan (§3.9): any bit we sent as 0 that came out as 1 inside
   // our own slot region, when the decoded region differs from what we sent.
@@ -189,28 +188,17 @@ DissentClient::OutputResult DissentClient::ProcessOutput(
   }
   sent_records_.erase(sent_records_.begin(), sent_records_.upper_bound(round));
 
-  // Extract everyone's messages; scan shuffle-request fields with exactly the
-  // rule the servers apply in FinishRound, so both sides flag the same
-  // rounds for the blame sub-phase.
-  for (size_t s = 0; s < layout.num_slots(); ++s) {
-    if (!layout.is_open(s)) {
-      continue;
-    }
-    auto payload = DecodeSlot(layout.ExtractSlot(cleartext, s));
-    if (payload.has_value() && payload->shuffle_request != 0) {
-      result.accusation_requested = true;
-    }
-    if (payload.has_value() && !payload->payload.empty()) {
-      result.messages.emplace_back(s, payload->payload);
-    }
-  }
-
-  AdvanceSchedules(round, cleartext);
+  // Everyone's messages and the shuffle-request scan come from the one
+  // decode; the scan is exactly the rule the servers apply in FinishRound,
+  // so both sides flag the same rounds for the blame sub-phase.
+  result.accusation_requested = decoded->accusation_requested;
+  result.messages = decoded->messages;
+  AdvanceSchedules(round, *decoded);
   return result;
 }
 
 void DissentClient::CatchUp(uint64_t round, const Bytes& cleartext) {
-  AdvanceSchedules(round, cleartext);
+  AdvanceSchedules(round, scheds_.front().Decode(cleartext));
 }
 
 void DissentClient::AbortRound(uint64_t round) {
@@ -230,7 +218,7 @@ void DissentClient::AbortRound(uint64_t round) {
     want_open_ = true;
   }
   Bytes zero(scheds_.front().TotalLength(), 0);
-  AdvanceSchedules(round, zero);
+  AdvanceSchedules(round, scheds_.front().Decode(zero));
 }
 
 std::optional<SignedAccusation> DissentClient::TakeAccusation() {

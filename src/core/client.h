@@ -68,7 +68,11 @@ class DissentClient {
     std::vector<std::pair<size_t, Bytes>> messages;
   };
   // Step 3: verify and ingest a round output; advances the (lagged) slot
-  // schedule. Outputs must arrive in strictly increasing round order. A
+  // schedule. `server_sigs` are the raw certificate bytes, roster order; a
+  // certificate that does not parse or verify is rejected. Verify and
+  // decode go through the process-wide memo of output_view.h, so clients
+  // sharing a process check each certified output once. Outputs must
+  // arrive in strictly increasing round order. A
   // forward gap (rounds missed while offline) applies only the received
   // output to the schedule, which stays correct only if no slot layout
   // changed during the gap — the silent-group common case. A client that
@@ -76,7 +80,7 @@ class DissentClient {
   // CatchUp (as Coordinator::SetClientOnline does) before resuming; a real
   // transport would fetch them from its upstream server on reconnect.
   OutputResult ProcessOutput(uint64_t round, const Bytes& cleartext,
-                             const std::vector<SchnorrSignature>& server_sigs);
+                             const std::vector<Bytes>& server_sigs);
 
   // Skip a round the client missed entirely (offline): keeps the schedule in
   // sync using the signed output it fetches on reconnect.
@@ -138,8 +142,9 @@ class DissentClient {
   // What to place in our slot this round, if it is open.
   Bytes BuildOwnSlotRegion(uint64_t round, size_t slot_len);
   const SlotSchedule& ScheduleFor(uint64_t round) const;
-  // Applies one round output to the lagged schedule window.
-  void AdvanceSchedules(uint64_t round, const Bytes& cleartext);
+  // Applies one round output, decoded under scheds_.front(), to the lagged
+  // schedule window.
+  void AdvanceSchedules(uint64_t round, const DecodedOutput& decoded);
   void ResetScheduleWindow(SlotSchedule initial);
 
   const GroupDef& def_;

@@ -28,19 +28,28 @@ Coordinator::Coordinator(GroupDef def, std::vector<BigInt> server_privs,
   // The engines own all round sequencing; this class only delivers their
   // envelopes (zero latency) and fires their timers (virtual clock).
   attached_.resize(servers_.size());
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    attached_[i % servers_.size()].push_back(static_cast<uint32_t>(i));
+  }
+  BuildEngines();
+}
+
+ServerEngine::Config Coordinator::ServerConfigFor(size_t j) const {
+  ServerEngine::Config cfg;
+  cfg.window_fraction = def_.policy.window_fraction;
+  cfg.window_multiplier = def_.policy.window_multiplier;
+  cfg.hard_deadline_us = def_.policy.hard_deadline;
+  cfg.attached_clients = attached_[j];
+  cfg.reliability = reliability_;
+  return cfg;
+}
+
+void Coordinator::BuildEngines() {
+  server_engines_.clear();
+  client_engines_.clear();
   for (size_t j = 0; j < servers_.size(); ++j) {
-    ServerEngine::Config cfg;
-    cfg.window_fraction = def_.policy.window_fraction;
-    cfg.window_multiplier = def_.policy.window_multiplier;
-    cfg.hard_deadline_us = def_.policy.hard_deadline;
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      if (i % servers_.size() == j) {
-        cfg.attached_clients.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    attached_[j] = cfg.attached_clients;
     server_engines_.push_back(
-        std::make_unique<ServerEngine>(servers_[j].get(), def_, std::move(cfg)));
+        std::make_unique<ServerEngine>(servers_[j].get(), def_, ServerConfigFor(j)));
   }
   for (size_t i = 0; i < clients_.size(); ++i) {
     ClientEngine::Config cfg;
@@ -49,8 +58,39 @@ Coordinator::Coordinator(GroupDef def, std::vector<BigInt> server_privs,
     // message queued between rounds still makes the next round, as the
     // step-by-step reference semantics promise).
     cfg.auto_submit = false;
+    cfg.reliability = reliability_;
+    cfg.resync_timeout_us = resync_timeout_us_;
     client_engines_.push_back(
         std::make_unique<ClientEngine>(clients_[i].get(), def_, cfg));
+  }
+}
+
+void Coordinator::EnableReliability(ReliabilityConfig reliability, int64_t resync_timeout_us) {
+  assert(!session_started_);
+  reliability_ = reliability;
+  resync_timeout_us_ = resync_timeout_us;
+  BuildEngines();
+}
+
+void Coordinator::RestartServer(size_t j, const Bytes& snapshot) {
+  // The dead incarnation's timers die with it.
+  timers_.erase(std::remove_if(timers_.begin(), timers_.end(),
+                               [j](const PendingTimer& t) {
+                                 return !t.client_owned && t.owner == j;
+                               }),
+                timers_.end());
+  std::make_heap(timers_.begin(), timers_.end(), TimerLater());
+  // Fresh logic + engine, keys reinstalled, then resume from the snapshot
+  // (RestoreState reseeds the logic's rng from the state bytes).
+  servers_[j] = std::make_unique<DissentServer>(def_, j, server_privs_[j],
+                                                SecureRng::FromLabel(0x52455354u ^ j));
+  servers_[j]->SetPseudonymKeys(pseudonym_keys_);
+  servers_[j]->BeginSlots(pseudonym_keys_.size());
+  server_engines_[j] = std::make_unique<ServerEngine>(servers_[j].get(), def_, ServerConfigFor(j));
+  auto actions = server_engines_[j]->RestoreSnapshot(snapshot, vnow_);
+  assert(actions.has_value());
+  if (actions.has_value()) {
+    DispatchServerActions(j, std::move(*actions));
   }
 }
 

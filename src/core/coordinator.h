@@ -140,6 +140,18 @@ class Coordinator {
                                            const WireMessage& msg)>;
   void SetMessageFilter(MessageFilter filter) { filter_ = std::move(filter); }
 
+  // --- crash-recovery hooks (tests) ---
+  // Turns on the ack/retransmit layer and client resync (engine.h) for
+  // every engine; call before scheduling. Off by default, which keeps this
+  // transport's frame stream the pre-reliability one.
+  void EnableReliability(ReliabilityConfig reliability, int64_t resync_timeout_us);
+  ServerEngine& server_engine(size_t j) { return *server_engines_[j]; }
+  // Server j crashes and restarts from `snapshot`, an earlier
+  // SerializeSnapshot of the same server: whatever it ingested since is
+  // lost. May be called from a message filter — the crash then falls
+  // between two deliveries.
+  void RestartServer(size_t j, const Bytes& snapshot);
+
  private:
   struct RoundRecord {
     Bytes cleartext;
@@ -164,6 +176,8 @@ class Coordinator {
 
   // Shared scheduling tail: locate slots from pseudonym_keys_, open round 1.
   bool FinishScheduling();
+  ServerEngine::Config ServerConfigFor(size_t j) const;
+  void BuildEngines();
 
   // Zero-latency transport plumbing.
   void DispatchServerActions(size_t j, ServerEngine::Actions actions);
@@ -180,6 +194,8 @@ class Coordinator {
   std::vector<std::unique_ptr<DissentServer>> servers_;
   std::vector<std::unique_ptr<ClientEngine>> client_engines_;
   std::vector<std::unique_ptr<ServerEngine>> server_engines_;
+  ReliabilityConfig reliability_;
+  int64_t resync_timeout_us_ = 0;
   std::vector<bool> online_;
   std::vector<std::vector<uint32_t>> attached_;  // per server: its clients
   std::vector<uint64_t> last_seen_round_;

@@ -2356,7 +2356,21 @@ void ClientEngine::Seal(Actions& a, int64_t now_us) {
   if (!mailbox_.enabled()) {
     return;
   }
+  // Submissions retained for the stall re-send (see Submit) keep the sealed
+  // frame the mailbox also holds until the ack, not a second copy.
+  std::vector<std::pair<size_t, uint64_t>> submits;  // out index -> round
+  for (size_t k = 0; k < a.out.size() && !sent_submits_.empty(); ++k) {
+    if (const auto* submit = std::get_if<wire::ClientSubmit>(a.out[k].msg.get())) {
+      submits.emplace_back(k, submit->round);
+    }
+  }
   mailbox_.WrapOutgoing(a.out, static_cast<uint32_t>(logic_->index()), now_us);
+  for (const auto& [k, round] : submits) {
+    auto it = sent_submits_.find(round);
+    if (it != sent_submits_.end()) {
+      it->second = a.out[k].msg;
+    }
+  }
   if (mailbox_.HasPending() && !retransmit_armed_) {
     retransmit_armed_ = true;
     a.timers.push_back({Token(0, kClientRetransmit), config_.reliability.rto_us});
@@ -2390,6 +2404,13 @@ void ClientEngine::SendUpstream(WireMessage msg, Actions& a) {
 
 ClientEngine::Actions ClientEngine::SubmitRound(uint64_t round, int64_t now_us) {
   Actions a;
+  if (config_.resync_timeout_us > 0 && !resync_armed_) {
+    // A transport-paced session never calls StartSession; its first
+    // submission arms the resync heartbeat instead.
+    resync_armed_ = true;
+    last_progress_us_ = now_us;
+    a.timers.push_back({Token(0, kClientResync), config_.resync_timeout_us});
+  }
   if (blame_hold_) {
     // Transport-paced submissions respect the blame drain too: the servers
     // are not opening this round until the verdict, so hold it and flush on
@@ -2424,10 +2445,21 @@ ClientEngine::Actions ClientEngine::HandleTimer(uint64_t token, int64_t now_us) 
       SendUpstream(
           wire::CatchUpRequest{last_output_round_, static_cast<uint32_t>(logic_->index())}, a);
       if (stalled) {
-        // Re-send the in-flight ciphertexts a crashed server may have lost.
-        for (const auto& [round, msg] : sent_submits_) {
+        // Re-send the in-flight ciphertexts a crashed server may have lost,
+        // each under a fresh sequence number (Seal re-wraps the parsed
+        // inner): a server that received the original drops any copy
+        // under its old one as a duplicate.
+        for (const auto& [round, frame] : sent_submits_) {
           (void)round;
-          a.out.push_back({ServerPeer(config_.upstream_server), msg});
+          std::shared_ptr<const WireMessage> msg = frame;
+          if (const auto* rel = std::get_if<wire::Reliable>(frame.get())) {
+            auto inner = ParseWire(rel->inner);
+            if (!inner.has_value()) {
+              continue;
+            }
+            msg = std::make_shared<const WireMessage>(std::move(*inner));
+          }
+          a.out.push_back({ServerPeer(config_.upstream_server), std::move(msg)});
         }
       }
     }
@@ -2609,16 +2641,7 @@ void ClientEngine::ApplyRound(uint64_t round, bool aborted, const Bytes& clearte
   if (signatures.size() != def_.num_servers()) {
     return;
   }
-  std::vector<SchnorrSignature> sigs;
-  sigs.reserve(signatures.size());
-  for (const Bytes& sig_bytes : signatures) {
-    auto sig = SchnorrSignature::Deserialize(*def_.group, sig_bytes);
-    if (!sig.has_value()) {
-      return;
-    }
-    sigs.push_back(*sig);
-  }
-  auto result = logic_->ProcessOutput(round, cleartext, sigs);
+  auto result = logic_->ProcessOutput(round, cleartext, signatures);
   if (result.signatures_ok) {
     last_output_round_ = round;
     last_progress_us_ = now_us;

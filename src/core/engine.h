@@ -35,6 +35,18 @@
 //     frame per client, or one frame per client-hosting machine): the frame
 //     bytes are identical for every recipient by construction.
 //
+// Certified-output memo (output_view.h): a ClientEngine's output path
+// verifies and decodes each distinct certified output once per process, so
+// co-hosted clients share the work. The memo is process-wide, bounded, and
+// guarded by one mutex, so engines on different threads may share it. It
+// owns copies of everything it keys on — the GroupDef by value, the round,
+// the exact cleartext and raw signature bytes, never an address or a hash
+// — and hands out immutable shared_ptr<const DecodedOutput> values, so no
+// entry points into an engine's or a message's storage. Only outputs whose
+// certificate verified are inserted; a decode is shared only between equal
+// layouts, and the witness-bit scan of each client's own slot stays per
+// client.
+//
 // Crypto fast-path (Elem/MultiExp) rules — the engines' proof work (blame
 // mix cascade, output certificates) rides the multi-exponentiation engine
 // in crypto/multiexp.h; the contract mirrors the ownership rules above:
@@ -720,8 +732,10 @@ class ClientEngine {
     std::vector<Bytes> signatures;
   };
   std::map<uint64_t, StashedRound> stash_;
-  // Recently submitted ciphertexts (round -> the sent ClientSubmit),
-  // re-sent on a stalled resync timer; pruned as outputs arrive.
+  // Recently submitted ciphertexts, re-sent on a stalled resync timer and
+  // pruned as outputs arrive. With reliability on, each value is the sealed
+  // wire::Reliable frame the mailbox keeps until the ack (one copy of the
+  // ciphertext per in-flight round); otherwise the bare ClientSubmit.
   std::map<uint64_t, std::shared_ptr<const WireMessage>> sent_submits_;
   int64_t last_progress_us_ = 0;
 };

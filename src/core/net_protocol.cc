@@ -454,6 +454,12 @@ void NetDissent::RestoreServer(size_t j) {
   }
 }
 
+void NetDissent::RestartServer(size_t j, Bytes snapshot) {
+  CrashServer(j);
+  servers_[j]->snapshot = std::move(snapshot);
+  RestoreServer(j);
+}
+
 void NetDissent::SubmitWithDelay(size_t client_index, Network::Frame frame, bool round_paced) {
   const ClientNode& c = *clients_[client_index];
   const NodeId from = machines_[c.machine].node;

@@ -185,6 +185,10 @@ class NetDissent {
   uint64_t rounds_aborted() const;
   // Server crash/restart cycles the harness has enacted.
   uint64_t server_restarts() const { return server_restarts_; }
+  // Crash-recovery hook (tests): server j crashes now and restarts at once
+  // from `snapshot`, an earlier SerializeSnapshot of the same server —
+  // whatever it ingested since is lost.
+  void RestartServer(size_t j, Bytes snapshot);
 
  private:
   struct ServerNode;

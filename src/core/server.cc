@@ -361,25 +361,16 @@ DissentServer::RoundFinish DissentServer::FinishRound(uint64_t round, const Byte
   } else if (const RoundSlot* slot = FindRound(round)) {
     result.participation = slot->received_ids.size();
   }
-  // Scan open slots for nonzero shuffle-request fields (§3.9), against the
-  // layout this round was built with.
-  const SlotSchedule& layout = ScheduleFor(round);
-  for (size_t s = 0; s < layout.num_slots(); ++s) {
-    if (!layout.is_open(s)) {
-      continue;
-    }
-    auto payload = DecodeSlot(layout.ExtractSlot(cleartext, s));
-    if (payload.has_value() && payload->shuffle_request != 0) {
-      result.accusation_requested = true;
-    }
-  }
-  // Lagged schedule advance: this output determines the layout of round
+  // One decode of the open slots, against the layout this round was built
+  // with (scheds_.front(), never a newer window entry whose total length
+  // may already differ), feeds both the shuffle-request scan (§3.9) and the
+  // lagged schedule advance: this output determines the layout of round
   // round + pipeline_depth, via layout(r+depth) = Advance(layout(r),
-  // output(r)) — the cleartext is interpreted with the layout of its own
-  // round (scheds_.front()), never a newer window entry whose total length
-  // may already differ. Rebase the window even if rounds were skipped.
+  // output(r)). Rebase the window even if rounds were skipped.
+  const DecodedOutput decoded = scheds_.front().Decode(cleartext);
+  result.accusation_requested = decoded.accusation_requested;
   SlotSchedule next = scheds_.front();
-  next.Advance(cleartext);
+  next.Advance(decoded);
   scheds_.push_back(std::move(next));
   scheds_.pop_front();
   sched_base_round_ = round + 1;

@@ -31,23 +31,26 @@ Bytes SlotSchedule::ExtractSlot(const Bytes& cleartext, size_t i) const {
   return Bytes(cleartext.begin() + off, cleartext.begin() + off + lengths_[i]);
 }
 
-bool SlotSchedule::RequestBit(const Bytes& cleartext, size_t i) const {
-  assert(cleartext.size() >= RequestRegionBytes());
-  return GetBit(cleartext, i);
-}
-
-void SlotSchedule::Advance(const Bytes& cleartext) {
+DecodedOutput SlotSchedule::Decode(const Bytes& cleartext) const {
   assert(cleartext.size() == TotalLength());
-  std::vector<uint32_t> next(lengths_.size(), 0);
+  DecodedOutput out;
+  out.next_lengths.assign(lengths_.size(), 0);
+  size_t off = RequestRegionBytes();
   for (size_t i = 0; i < lengths_.size(); ++i) {
-    if (lengths_[i] == 0) {
-      next[i] = RequestBit(cleartext, i) ? default_open_length_ : 0;
+    const size_t len = lengths_[i];
+    if (len == 0) {
+      const bool requested = i / 8 < cleartext.size() && GetBit(cleartext, i);
+      out.next_lengths[i] = requested ? default_open_length_ : 0;
       continue;
     }
-    auto payload = DecodeSlot(ExtractSlot(cleartext, i));
+    const size_t begin = off;
+    off += len;
+    if (off > cleartext.size()) {
+      continue;  // past the end: absent
+    }
+    auto payload = DecodeSlot(cleartext.data() + begin, len);
     if (!payload.has_value()) {
-      next[i] = 0;  // absent or garbled: close, owner re-requests
-      continue;
+      continue;  // absent or garbled: close, owner re-requests
     }
     uint32_t want = payload->next_length;
     if (want > kMaxSlotLength) {
@@ -56,9 +59,15 @@ void SlotSchedule::Advance(const Bytes& cleartext) {
     if (want != 0 && want < SlotOverheadBytes()) {
       want = static_cast<uint32_t>(SlotOverheadBytes());
     }
-    next[i] = want;
+    out.next_lengths[i] = want;
+    if (payload->shuffle_request != 0) {
+      out.accusation_requested = true;
+    }
+    if (!payload->payload.empty()) {
+      out.messages.emplace_back(i, std::move(payload->payload));
+    }
   }
-  lengths_ = std::move(next);
+  return out;
 }
 
 void SlotSchedule::SerializeTo(Writer& w) const {

@@ -11,11 +11,16 @@
 //  * open slot, valid header                -> next_length from the header
 //  * open slot, absent/garbled              -> closes (owner re-requests)
 // All participants must call Advance() with each round's cleartext.
+//
+// Decode() reads every open slot of an output once; the resulting
+// DecodedOutput feeds message extraction, the shuffle-request scan, and
+// Advance(), so no participant decodes a slot twice per round.
 #ifndef DISSENT_CORE_SLOT_SCHEDULE_H_
 #define DISSENT_CORE_SLOT_SCHEDULE_H_
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/core/cleartext.h"
@@ -23,6 +28,17 @@
 #include "src/util/serialize.h"
 
 namespace dissent {
+
+// One round output read under the layout it was built with.
+struct DecodedOutput {
+  // Payloads of the valid open slots that carry one (slot -> payload), in
+  // slot order.
+  std::vector<std::pair<size_t, Bytes>> messages;
+  // Some open slot carried a nonzero shuffle-request field (§3.9).
+  bool accusation_requested = false;
+  // Every slot's length in the layout this output determines.
+  std::vector<uint32_t> next_lengths;
+};
 
 class SlotSchedule {
  public:
@@ -40,11 +56,20 @@ class SlotSchedule {
 
   // Reads slot i's region out of a full round cleartext.
   Bytes ExtractSlot(const Bytes& cleartext, size_t i) const;
-  // Request bit for slot i.
-  bool RequestBit(const Bytes& cleartext, size_t i) const;
+
+  // Decodes every open slot of this round's output in one pass. A slot
+  // region that would run past the end of `cleartext` reads as absent.
+  DecodedOutput Decode(const Bytes& cleartext) const;
 
   // Applies one completed round's output, updating every slot length.
-  void Advance(const Bytes& cleartext);
+  void Advance(const Bytes& cleartext) { Advance(Decode(cleartext)); }
+  // The same from an output this layout already decoded.
+  void Advance(const DecodedOutput& decoded) { lengths_ = decoded.next_lengths; }
+
+  bool operator==(const SlotSchedule& o) const {
+    return default_open_length_ == o.default_open_length_ && lengths_ == o.lengths_;
+  }
+  bool operator!=(const SlotSchedule& o) const { return !(*this == o); }
 
   // Snapshot support (crash-recovery, see engine.h): the schedule is part of
   // a server's serialized session state.

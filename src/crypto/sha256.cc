@@ -97,18 +97,21 @@ Sha256& Sha256::Update(const uint8_t* data, size_t len) {
 Sha256& Sha256::Update(const Bytes& data) { return Update(data.data(), data.size()); }
 
 Bytes Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buf_len_ != 56) {
-    Update(&zero, 1);
+  // Pad in place: 0x80, zeros to byte 56 of the last block (spilling into
+  // one more block when fewer than 8 bytes remain), then the bit length.
+  const uint64_t bit_len = total_len_ * 8;
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    Compress(buf_);
+    buf_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buf_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_be, 8);
+  Compress(buf_);
+  buf_len_ = 0;
   Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);

@@ -695,9 +695,7 @@ void ServerNode::FinishScheduling(std::vector<BigInt> keys) {
   }
   sched_keys_frame_ = Connection::Frame(SerializeNet(NetMessage{std::move(msg)}));
   keys_ready_ = true;
-  for (Connection* c : host_conns_) {
-    c->SendFramed(sched_keys_frame_);
-  }
+  SendToHosts(sched_keys_frame_);
   // Drop the scheduling scratch matrices; keep our own roster and mix step
   // so SendSchedStateTo can still replay them to a slow sibling that
   // reconnects before finishing its cascade.
@@ -831,6 +829,17 @@ void ServerNode::OnWireMessage(Connection* conn, std::shared_ptr<const WireMessa
   Dispatch(engine_->HandleMessage(peer, *msg, loop_->NowUs()));
 }
 
+void ServerNode::SendToHosts(const std::shared_ptr<const Bytes>& frame) {
+  // A send to a host that has gone away fails and closes the connection,
+  // which erases it from host_conns_ mid-loop: walk a copy. The closed
+  // Connection itself stays valid (DropConnection defers its destruction),
+  // and SendFramed on it is a no-op.
+  const std::vector<Connection*> hosts(host_conns_.begin(), host_conns_.end());
+  for (Connection* c : hosts) {
+    c->SendFramed(frame);
+  }
+}
+
 void ServerNode::Dispatch(ServerEngine::Actions actions) {
   // Serialize once per shared payload: broadcast envelopes are emitted
   // consecutively and alias one message object.
@@ -858,9 +867,7 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
       case Peer::Kind::kAttachedClients:
         // One frame per client-hosting connection; the hosts fan out
         // in-process, so distribution cost scales with processes.
-        for (Connection* c : host_conns_) {
-          c->SendFramed(cache_frame);
-        }
+        SendToHosts(cache_frame);
         break;
     }
   }

@@ -182,6 +182,9 @@ class ServerNode {
   void BroadcastToSiblings(const Bytes& payload);
   void SendSchedStateTo(size_t j);
 
+  // One frame to every identified client-host connection.
+  void SendToHosts(const std::shared_ptr<const Bytes>& frame);
+
   // Engine plumbing.
   void Dispatch(ServerEngine::Actions actions);
   void InstallEngine();

@@ -466,6 +466,130 @@ TEST(ChaosTest, LegacyStaleSnapshotRestartCannotRejoin) {
   EXPECT_LE(w->net->rounds_completed(), completed_at_restore + 1);
 }
 
+// A server acks a round's submission, crashes, and comes back from a
+// snapshot taken before it ingested it. The client already dropped the
+// acked frame from its mailbox, so only its stall re-send — the retained
+// sealed frame's inner, under a fresh sequence number — can bring the round
+// home, and the round must certify the reference cleartext.
+TEST(ChaosTest, CoordinatorStallResendRepairsSubmissionLostToOlderSnapshot) {
+  constexpr uint64_t kSeed = 9110;
+  constexpr uint64_t kLost = 4;
+  auto make = [&] {
+    SecureRng rng = SecureRng::FromLabel(kSeed);
+    std::vector<BigInt> server_privs, client_privs;
+    GroupDef def = MakeTestGroup(Group::Named(GroupId::kTesting256), 2, 4, rng, &server_privs,
+                                 &client_privs);
+    auto coord = std::make_unique<Coordinator>(def, server_privs, client_privs, kSeed);
+    ReliabilityConfig rel;
+    rel.enabled = true;
+    coord->EnableReliability(rel, /*resync_timeout_us=*/2 * 1000000);
+    EXPECT_TRUE(coord->RunSchedulingDirect());
+    for (size_t i = 0; i < 4; ++i) {
+      for (int m = 0; m < 8; ++m) {
+        coord->client(i).QueueMessage(Bytes(20, static_cast<uint8_t>(16 * i + m)));
+      }
+    }
+    return coord;
+  };
+  auto ref = make();
+  std::vector<Bytes> want;
+  for (uint64_t r = 1; r <= kLost + 2; ++r) {
+    auto out = ref->RunRound();
+    ASSERT_TRUE(out.completed) << "reference round " << r;
+    want.push_back(out.cleartext);
+  }
+
+  auto coord = make();
+  for (uint64_t r = 1; r < kLost; ++r) {
+    ASSERT_EQ(coord->RunRound().cleartext, want[r - 1]);
+  }
+  // Round kLost is open on server 1 with nothing ingested yet.
+  const Bytes snapshot = coord->server_engine(1).SerializeSnapshot();
+  ASSERT_EQ(coord->server_engine(1).logic().SubmissionCount(kLost), 0u);
+  bool restarted = false;
+  uint32_t lost_client = 0;
+  uint64_t first_seq = 0;
+  std::vector<uint64_t> resend_seqs;
+  coord->SetMessageFilter([&](const Peer& from, const Peer& to, const WireMessage& msg) {
+    if (const auto* rel = std::get_if<wire::Reliable>(&msg)) {
+      auto inner = ParseWire(rel->inner);
+      const auto* submit = inner.has_value() ? std::get_if<wire::ClientSubmit>(&*inner) : nullptr;
+      if (submit != nullptr && submit->round == kLost && to.kind == Peer::Kind::kServer &&
+          to.index == 1) {
+        if (!restarted && first_seq == 0) {
+          lost_client = from.index;
+          first_seq = rel->seq;
+        } else if (restarted && from.index == lost_client) {
+          resend_seqs.push_back(rel->seq);
+        }
+      }
+    }
+    if (!restarted && first_seq != 0 && std::holds_alternative<wire::Ack>(msg) &&
+        from.kind == Peer::Kind::kServer && from.index == 1 && to.index == lost_client) {
+      // Acked and ingested; the crash loses it.
+      restarted = true;
+      coord->RestartServer(1, snapshot);
+    }
+    return true;
+  });
+  auto out = coord->RunRound();
+  ASSERT_TRUE(restarted);
+  ASSERT_TRUE(out.completed);
+  EXPECT_EQ(out.cleartext, want[kLost - 1]);
+  ASSERT_FALSE(resend_seqs.empty()) << "the lost submission was never re-sent";
+  EXPECT_GT(resend_seqs.front(), first_seq) << "re-sent under its old sequence number";
+  coord->SetMessageFilter(nullptr);
+  EXPECT_EQ(coord->RunRound().cleartext, want[kLost]);
+  EXPECT_EQ(coord->RunRound().cleartext, want[kLost + 1]);
+}
+
+TEST(ChaosTest, NetStallResendRepairsSubmissionLostToOlderSnapshot) {
+  constexpr uint64_t kSeed = 9111;
+  constexpr uint64_t kLost = 6;
+  auto queue = [](NetWorld& w) {
+    for (size_t i = 0; i < 4; ++i) {
+      for (int m = 0; m < 12; ++m) {
+        w.net->client(i).QueueMessage(Bytes(20, static_cast<uint8_t>(16 * i + m)));
+      }
+    }
+  };
+  auto ref = MakeNetWorld(2, 4, kSeed, RobustOptions());
+  ASSERT_TRUE(ref->net->Start());
+  queue(*ref);
+  ref->sim.RunUntil(30 * kSecond);
+
+  auto w = MakeNetWorld(2, 4, kSeed, RobustOptions());
+  ASSERT_TRUE(w->net->Start());
+  queue(*w);
+  // Snapshot server 1 the moment it opens round kLost (nothing ingested)...
+  SimTime t = 0;
+  while (w->net->server_engine(1).rounds_completed() < kLost - 1) {
+    t += kMillisecond;
+    w->sim.RunUntil(t);
+    ASSERT_LT(t, 20 * kSecond);
+  }
+  ASSERT_EQ(w->net->server(1).SubmissionCount(kLost), 0u);
+  const Bytes snapshot = w->net->server_engine(1).SerializeSnapshot();
+  // ...let both of its clients' submissions be ingested and acked...
+  while (w->net->server(1).SubmissionCount(kLost) < 2) {
+    t += kMillisecond;
+    w->sim.RunUntil(t);
+    ASSERT_LT(w->net->server_engine(1).rounds_completed(), kLost);
+  }
+  // ...then crash it back to the snapshot: both submissions are gone.
+  w->net->RestartServer(1, snapshot);
+  ASSERT_EQ(w->net->server(1).SubmissionCount(kLost), 0u);
+  w->sim.RunUntil(30 * kSecond);
+
+  EXPECT_EQ(w->net->server_restarts(), 1u);
+  const auto& a = ref->net->round_cleartexts();
+  const auto& b = w->net->round_cleartexts();
+  ASSERT_GT(b.size(), kLost + 2) << "the pipeline never recovered the lost submissions";
+  for (size_t r = 0; r < std::min(a.size(), b.size()); ++r) {
+    ASSERT_EQ(a[r], b[r]) << "cleartexts diverged at round " << (r + 1);
+  }
+}
+
 TEST(ChaosTest, ServerSnapshotRoundTripsInFlightState) {
   // Unit-level crash recovery: serialize a server engine mid-session,
   // restore into a fresh logic+engine pair, and the restored instance

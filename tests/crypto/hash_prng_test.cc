@@ -40,6 +40,44 @@ TEST(Sha256Test, BoundaryLengths) {
   }
 }
 
+TEST(Sha256Test, PaddingBoundaryVectors) {
+  // n repetitions of 'a' at the lengths where Finish's padding changes
+  // shape: the 0x80 byte and the 8-byte length fit in the last block up to
+  // 55 bytes of tail, and spill into one more block from 56 to 63.
+  // Digests from an independent SHA-256 implementation (OpenSSL).
+  const std::pair<size_t, const char*> vectors[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, digest] : vectors) {
+    EXPECT_EQ(ToHex(Sha256::Hash(Bytes(n, 'a'))), digest) << n << " bytes";
+  }
+}
+
+TEST(Sha256Test, StreamingMatchesOneShot) {
+  // Every split point of every length up to 130 bytes: two Updates hash the
+  // same as one.
+  Bytes msg(130);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (size_t n = 0; n <= msg.size(); ++n) {
+    const Bytes whole(msg.begin(), msg.begin() + n);
+    const std::string one_shot = ToHex(Sha256::Hash(whole));
+    for (size_t cut = 0; cut <= n; ++cut) {
+      Sha256 h;
+      h.Update(whole.data(), cut);
+      h.Update(whole.data() + cut, n - cut);
+      ASSERT_EQ(ToHex(h.Finish()), one_shot) << "length " << n << " split at " << cut;
+    }
+  }
+}
+
 TEST(Sha256Test, HashPartsIsFramed) {
   // Unambiguous framing: ("ab","c") != ("a","bc").
   Bytes ab = BytesOf("ab"), c = BytesOf("c"), a = BytesOf("a"), bc = BytesOf("bc");

@@ -10,7 +10,10 @@
 // Skips (rather than fails) when the binaries are not next to the test
 // executable — e.g. a build driver that compiles tests without the
 // deployment targets.
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -81,6 +84,26 @@ int WaitFor(pid_t pid, int64_t timeout_ms) {
   kill(pid, SIGKILL);
   waitpid(pid, nullptr, 0);
   return -1;
+}
+
+// True once 127.0.0.1:port accepts a connection. dissentd listens only
+// after it has taken SIGTERM over to its signalfd, so from then on a SIGTERM
+// always goes through its snapshot-and-exit path.
+bool WaitListening(uint16_t port, int64_t timeout_ms) {
+  for (int64_t waited = 0; waited < timeout_ms; waited += 20) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const bool up = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    close(fd);
+    if (up) {
+      return true;
+    }
+    usleep(20 * 1000);
+  }
+  return false;
 }
 
 size_t CountLines(const std::string& path) {
@@ -315,10 +338,12 @@ TEST(MultiProcess, StaleSnapshotServerRejoinsViaCatchUpOverSockets) {
     // from.
     const size_t victim = 2;
     bool progress = false;
-    for (int i = 0; i < 60 * 50 && !progress; ++i) {
+    // Poll every millisecond: a small fleet certifies a round every few
+    // milliseconds, and a coarser poll can land the kill after the last one.
+    for (int i = 0; i < 60 * 1000 && !progress; ++i) {
       progress = CountLines(work + "/s0.log") >= 3;
       if (!progress) {
-        usleep(20 * 1000);
+        usleep(1000);
       }
     }
     ASSERT_TRUE(progress) << "fleet never certified 3 rounds";
@@ -330,6 +355,11 @@ TEST(MultiProcess, StaleSnapshotServerRejoinsViaCatchUpOverSockets) {
     usleep(3000 * 1000);
     server_pid[victim] = spawn_server(victim);
     ASSERT_GT(server_pid[victim], 0);
+    // The clients may already be done (the session can end before or
+    // during the outage); the SIGTERM below must not reach the restarted
+    // server before it can take it.
+    ASSERT_TRUE(WaitListening(cfg.server_port(victim), 30000))
+        << "restarted server never listened";
 
     for (size_t h = 0; h < cfg.num_hosts(); ++h) {
       EXPECT_EQ(WaitFor(client_pid[h], 120000), 0) << "client host " << h;
