@@ -5,6 +5,7 @@
 
 #include "src/core/coordinator.h"
 #include "src/core/dcnet.h"
+#include "src/crypto/kernels.h"
 
 namespace dissent {
 namespace {
@@ -141,4 +142,21 @@ BENCHMARK(BM_FullRoundInProcess)
 }  // namespace
 }  // namespace dissent
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Provenance: the host ISA flags the data-plane kernels were chosen from,
+  // and the tiers chosen, recorded in the JSON output's context.
+  const dissent::CpuFeatures& cpu = dissent::HostCpuFeatures();
+  benchmark::AddCustomContext("cpu_avx2", cpu.avx2 ? "1" : "0");
+  benchmark::AddCustomContext("cpu_avx512f", cpu.avx512f ? "1" : "0");
+  benchmark::AddCustomContext("cpu_sha_ni", cpu.sha_ni ? "1" : "0");
+  benchmark::AddCustomContext("cpu_adx", cpu.adx ? "1" : "0");
+  benchmark::AddCustomContext("kernel_chacha20", dissent::kernels::SelectedChaChaKernel().name);
+  benchmark::AddCustomContext("kernel_sha256", dissent::kernels::SelectedSha256Kernel().name);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -71,13 +71,20 @@ trap 'rm -f "$tmp_dcnet" "$tmp_crypto" "$tmp_protocol"' EXIT
   --benchmark_out="$tmp_crypto" --benchmark_out_format=json
 
 # One file: micro_dcnet's context plus both benchmark arrays, stamped with
-# the build flavor this script configured.
-jq -s --arg flavor "$flavor" \
-  '{context: (.[0].context + {dissent_build: $flavor}),
+# the build flavor this script configured and the host: nproc (the CPUs this
+# process may use, unlike the library's num_cpus), plus the ISA flags and the
+# kernel tiers micro_dcnet recorded from the same CPUID probe that selected
+# them.
+nproc_host="$(nproc)"
+jq -s --arg flavor "$flavor" --argjson nproc "$nproc_host" \
+  '{context: (.[0].context + {dissent_build: $flavor, nproc: $nproc}),
     benchmarks: (.[0].benchmarks + .[1].benchmarks)}' \
   "$tmp_dcnet" "$tmp_crypto" > "$out"
+host_json="$(jq -c '.context | {nproc, cpu_avx2, cpu_avx512f, cpu_sha_ni, cpu_adx,
+                                kernel_chacha20, kernel_sha256}' "$out")"
 
 echo "wrote $out ($(jq '.benchmarks | length' "$out") benchmarks, $flavor)"
+echo "  host: $host_json"
 
 casc_ref="$(jq '[.benchmarks[] | select(.name | contains("KeyShuffleCascade/1000/0")) | .total_sec] | first' "$out")"
 casc_eng="$(jq '[.benchmarks[] | select(.name | contains("KeyShuffleCascade/1000/1")) | .total_sec] | first' "$out")"
@@ -85,8 +92,8 @@ echo "  key-shuffle cascade @1000 clients: engine ${casc_eng}s vs reference ${ca
 
 "$build_dir/micro_protocol" --benchmark_format=json \
   --benchmark_out="$tmp_protocol" --benchmark_out_format=json
-jq --arg flavor "$flavor" \
-  '.context += {dissent_build: $flavor}' "$tmp_protocol" > "$protocol_out"
+jq --arg flavor "$flavor" --argjson host "$host_json" \
+  '.context += {dissent_build: $flavor} + $host' "$tmp_protocol" > "$protocol_out"
 
 # Real-socket deployment wall clock (scripts/localrun.sh): 5 dissentd + 100
 # single-client processes on loopback running the verified shuffle + depth-2

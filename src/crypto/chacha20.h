@@ -6,11 +6,14 @@
 //
 // The data plane is the system's hottest loop (one pad per client per server
 // per round), so the keystream pipeline is built around three ideas:
-//  * multi-block generation: `ChaCha20Blocks` produces N blocks per call,
-//    lane-interleaved internally so the compiler vectorizes the rounds
-//    across blocks (8 independent counters per batch);
-//  * word-wise XOR: keystream is combined with buffers 8 bytes at a time
-//    (see XorWords in util/bytes.h), never byte-at-a-time;
+//  * SIMD block kernels: bulk keystream comes from a 16-lane AVX-512F or an
+//    8-lane AVX2 core that transposes its rows into whole blocks in
+//    registers and stores (or XORs) them straight into the destination.
+//    The widest tier the host supports is chosen once per process by CPUID
+//    (src/crypto/kernels.h); every tier is bit-exact to the scalar
+//    one-block function, which stays as the fallback and the test oracle;
+//  * word-wise XOR: partial blocks are combined 8 bytes at a time (see
+//    XorWords in util/bytes.h), never byte-at-a-time;
 //  * O(1) seeking: the counter-based construction lets a stream jump to any
 //    byte offset without generating the prefix (`Seek`), which is what makes
 //    column-parallel pad aggregation and single-bit pad queries cheap.
@@ -23,14 +26,18 @@
 
 namespace dissent {
 
+namespace kernels {
+struct ChaChaKernel;
+}  // namespace kernels
+
 // Raw ChaCha20 block: 32-byte key, 12-byte nonce, 32-bit counter -> 64 bytes.
 void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
                    uint8_t out[64]);
 
 // Multi-block API: writes `nblocks` consecutive blocks (counters `counter`,
 // `counter + 1`, ...) into the caller-owned buffer `out` (nblocks * 64
-// bytes). Bit-identical to calling ChaCha20Block in a loop, but batches the
-// round computation across blocks.
+// bytes). Bit-identical to calling ChaCha20Block in a loop, but runs on the
+// selected SIMD kernel.
 void ChaCha20Blocks(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
                     size_t nblocks, uint8_t* out);
 
@@ -47,6 +54,9 @@ class ChaCha20Stream {
   ChaCha20Stream(const Bytes& key, const Bytes& nonce);
   // From a pre-parsed key schedule (see ParseChaCha20Key).
   ChaCha20Stream(const uint32_t key_words[8], const uint8_t nonce[12]);
+  // Pinned to one kernel tier instead of the selected one: the seam through
+  // which the equivalence tests reach every tier.
+  ChaCha20Stream(const Bytes& key, const Bytes& nonce, const kernels::ChaChaKernel& kernel);
 
   // Appends `n` pseudo-random bytes into out (resizing it).
   void Generate(size_t n, Bytes* out);
@@ -70,6 +80,7 @@ class ChaCha20Stream {
  private:
   void Refill();
 
+  const kernels::ChaChaKernel* kernel_;
   uint32_t state_[16];  // expanded initial state (counter word ignored)
   uint32_t counter_ = 0;
   uint8_t block_[64];

@@ -2,7 +2,13 @@
 
 #include <cstring>
 
+#include "src/crypto/kernels.h"
 #include "src/util/serialize.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define DISSENT_SHA_NI 1
+#endif
 
 namespace dissent {
 
@@ -22,51 +28,133 @@ constexpr uint32_t kK[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+// Portable reference compression: FIPS 180-4 §6.2.2, one block at a time.
+void CompressPortable(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<uint32_t>(blocks[4 * i]) << 24 |
+             static_cast<uint32_t>(blocks[4 * i + 1]) << 16 |
+             static_cast<uint32_t>(blocks[4 * i + 2]) << 8 |
+             static_cast<uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef DISSENT_SHA_NI
+
+// SHA-NI compression. The state lives in two registers in the order the
+// instructions expect, ABEF and CDGH. Each sha256rnds2 runs two rounds, so
+// a quad of four message words costs two of them; sha256msg1/msg2 extend
+// the message schedule four words at a time, with the W[t-7] term added in
+// between through an alignr of the two previous quads.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t state[8],
+                                                         const uint8_t* blocks, size_t nblocks) {
+  // Big-endian message words: byte-reverse each 32-bit lane.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));         // DCBA
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));  // HGFE
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);                                              // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1b);                                        // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);                                // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xf0);                                     // CDGH
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i m[4];
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      if (q < 4) {
+        m[q] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * q)), bswap);
+      }
+      const __m128i wk =
+          _mm_add_epi32(m[q % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * q)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0e));
+      // Finish quad q+1 (started by msg1 three quads ago), then start q+3.
+      if (q >= 3 && q <= 14) {
+        __m128i& next = m[(q + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(m[q % 4], m[(q + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, m[q % 4]);
+      }
+      if (q >= 1 && q <= 12) {
+        m[(q + 3) % 4] = _mm_sha256msg1_epu32(m[(q + 3) % 4], m[q % 4]);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1b);                                          // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xb1);                                       // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xf0);                                    // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);                                       // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#endif  // DISSENT_SHA_NI
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+namespace kernels {
 
-void Sha256::Compress(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-           static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<uint32_t>(block[4 * i + 2]) << 8 | static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+const std::vector<Sha256Kernel>& Sha256Kernels() {
+  static const std::vector<Sha256Kernel> tiers = {
+#ifdef DISSENT_SHA_NI
+      {"sha_ni", HostCpuFeatures().sha_ni, CompressShaNi},
+#endif
+      {"portable", true, CompressPortable},
+  };
+  return tiers;
 }
+
+const Sha256Kernel& SelectedSha256Kernel() {
+  static const Sha256Kernel& selected = FirstSupported(Sha256Kernels());
+  return selected;
+}
+
+}  // namespace kernels
+
+Sha256::Sha256() : Sha256(kernels::SelectedSha256Kernel()) {}
+
+Sha256::Sha256(const kernels::Sha256Kernel& kernel)
+    : kernel_(&kernel),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 Sha256& Sha256::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
@@ -78,14 +166,15 @@ Sha256& Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buf_len_ == 64) {
-      Compress(buf_);
+      kernel_->compress(state_.data(), buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (len >= 64) {
-    Compress(data);
-    data += 64;
-    len -= 64;
+  if (len >= 64) {
+    const size_t nblocks = len / 64;
+    kernel_->compress(state_.data(), data, nblocks);
+    data += 64 * nblocks;
+    len -= 64 * nblocks;
   }
   if (len > 0) {
     std::memcpy(buf_, data, len);
@@ -103,14 +192,14 @@ Bytes Sha256::Finish() {
   buf_[buf_len_++] = 0x80;
   if (buf_len_ > 56) {
     std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
-    Compress(buf_);
+    kernel_->compress(state_.data(), buf_, 1);
     buf_len_ = 0;
   }
   std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
   for (int i = 0; i < 8; ++i) {
     buf_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Compress(buf_);
+  kernel_->compress(state_.data(), buf_, 1);
   buf_len_ = 0;
   Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {

@@ -1,12 +1,16 @@
-// The optimized keystream pipeline (multi-block batches, O(1) Seek,
+// The optimized keystream pipeline (SIMD block kernels, O(1) Seek,
 // word-wise XOR, cached key schedules) against RFC 8439 vectors and a scalar
 // reference: every fast path must be bit-identical to the one-block-at-a-time
-// construction, or DC-net pads stop cancelling.
+// construction, or DC-net pads stop cancelling. Each kernel tier the host
+// supports is checked on its own; tiers the host lacks are skipped by name.
 #include "src/crypto/chacha20.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+
+#include "src/crypto/kernels.h"
 
 namespace dissent {
 namespace {
@@ -146,6 +150,149 @@ TEST(ChaCha20StreamTest, InterleavedGenerateSeekXor) {
   uint8_t raw[64];
   stream.GenerateRaw(raw, 64);  // stream bytes [1000, 1064)
   EXPECT_EQ(Bytes(raw, raw + 64), Bytes(full.begin() + 1000, full.begin() + 1064));
+}
+
+// --- Per-tier equivalence: each kernel against the scalar reference ---
+
+Bytes Patterned(size_t n, uint8_t seed) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>(i * 131 + seed);
+  }
+  return b;
+}
+
+// Reference blocks with arbitrary (wrapping) counters.
+Bytes ReferenceBlocks(const Bytes& key, const Bytes& nonce, uint32_t counter, size_t nblocks) {
+  Bytes out(64 * nblocks);
+  for (size_t b = 0; b < nblocks; ++b) {
+    ChaCha20Block(key.data(), nonce.data(), counter + static_cast<uint32_t>(b),
+                  out.data() + 64 * b);
+  }
+  return out;
+}
+
+class ChaChaTierTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    for (const kernels::ChaChaKernel& k : kernels::ChaChaKernels()) {
+      if (GetParam() == k.name) {
+        kernel_ = &k;
+      }
+    }
+    if (kernel_ == nullptr || !kernel_->supported) {
+      GTEST_SKIP() << "ChaCha20 kernel tier " << GetParam() << " not supported on this host";
+    }
+  }
+
+  const kernels::ChaChaKernel* kernel_ = nullptr;
+};
+
+TEST_P(ChaChaTierTest, BlockCountsMatchScalar) {
+  // Batch boundaries of both SIMD widths, long runs, and a counter that
+  // wraps mid-batch. A block-aligned Seek hands whole blocks straight to
+  // the tier's kernel.
+  Bytes key = TestKey(), nonce(12, 0x31);
+  for (uint32_t counter : {0u, 5u, 0xfffffff5u}) {
+    for (size_t nblocks : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 33u, 2047u, 2048u}) {
+      const Bytes expect = ReferenceBlocks(key, nonce, counter, nblocks);
+      Bytes got(64 * nblocks + 1, 0xee);  // one guard byte past the end
+      ChaCha20Stream gen(key, nonce, *kernel_);
+      gen.Seek(uint64_t{64} * counter);
+      gen.GenerateRaw(got.data(), 64 * nblocks);
+      ASSERT_EQ(got.back(), 0xee) << nblocks << " blocks wrote past the end";
+      got.pop_back();
+      ASSERT_EQ(got, expect) << nblocks << " blocks from counter " << counter;
+
+      Bytes buf = Patterned(64 * nblocks, 3);
+      Bytes want = buf;
+      XorInto(want, expect);
+      ChaCha20Stream x(key, nonce, *kernel_);
+      x.Seek(uint64_t{64} * counter);
+      x.XorStreamRaw(buf.data(), buf.size());
+      ASSERT_EQ(buf, want) << nblocks << " XORed blocks from counter " << counter;
+    }
+  }
+}
+
+TEST_P(ChaChaTierTest, EveryLengthMatchesScalar) {
+  Bytes key = TestKey(), nonce(12, 0x32);
+  const Bytes full = ReferenceStream(key, nonce, 3200);
+  for (size_t n = 0; n <= 3200; ++n) {
+    ChaCha20Stream gen(key, nonce, *kernel_);
+    ASSERT_EQ(gen.Generate(n), Bytes(full.begin(), full.begin() + n)) << n << " bytes";
+
+    Bytes buf = Patterned(n, 5);
+    Bytes want = buf;
+    for (size_t i = 0; i < n; ++i) {
+      want[i] ^= full[i];
+    }
+    ChaCha20Stream x(key, nonce, *kernel_);
+    x.XorStreamRaw(buf.data(), n);
+    ASSERT_EQ(buf, want) << n << " XORed bytes";
+  }
+}
+
+TEST_P(ChaChaTierTest, EverySeekOffsetMatchesScalar) {
+  // Every start offset mod 64, at block 0 and past one full 16-block batch,
+  // reading across several batch boundaries.
+  Bytes key = TestKey(), nonce(12, 0x33);
+  const size_t kRead = 64 * 33 + 5;
+  const Bytes full = ReferenceStream(key, nonce, 64 * 17 + 64 + kRead);
+  for (size_t base : {size_t{0}, size_t{64 * 17}}) {
+    for (size_t off = 0; off < 64; ++off) {
+      const size_t start = base + off;
+      const Bytes want(full.begin() + start, full.begin() + start + kRead);
+      ChaCha20Stream gen(key, nonce, *kernel_);
+      gen.Seek(start);
+      ASSERT_EQ(gen.Generate(kRead), want) << "offset " << start;
+
+      Bytes buf(kRead, 0);
+      ChaCha20Stream x(key, nonce, *kernel_);
+      x.Seek(start);
+      x.XorStreamRaw(buf.data(), kRead);
+      ASSERT_EQ(buf, want) << "XOR at offset " << start;
+    }
+  }
+}
+
+TEST_P(ChaChaTierTest, InPlaceXorRoundTrips) {
+  // XORing the same stream twice into one buffer restores it; chunked XOR
+  // equals one-shot XOR.
+  Bytes key = TestKey(), nonce(12, 0x34);
+  const Bytes original = Patterned(64 * 40 + 17, 9);
+  Bytes buf = original;
+  ChaCha20Stream(key, nonce, *kernel_).XorStream(buf, 0, buf.size());
+  Bytes one_shot = buf;
+  ChaCha20Stream(key, nonce, *kernel_).XorStream(buf, 0, buf.size());
+  EXPECT_EQ(buf, original);
+
+  ChaCha20Stream chunked(key, nonce, *kernel_);
+  for (size_t pos = 0; pos < buf.size();) {
+    size_t take = std::min<size_t>(buf.size() - pos, 64 * 16 + 3);
+    chunked.XorStream(buf, pos, take);
+    pos += take;
+  }
+  EXPECT_EQ(buf, one_shot);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ChaChaTierTest, ::testing::Values("avx512", "avx2", "scalar"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(ChaChaKernelSelectionTest, WidestSupportedTierByCpuid) {
+  const CpuFeatures& cpu = HostCpuFeatures();
+  const std::string expect = cpu.avx512f ? "avx512" : cpu.avx2 ? "avx2" : "scalar";
+  const std::string selected = kernels::SelectedChaChaKernel().name;
+  // A build without the SIMD tiers (non-x86) runs the scalar one.
+  if (kernels::ChaChaKernels().size() > 1) {
+    EXPECT_EQ(selected, expect);
+  } else {
+    EXPECT_EQ(selected, "scalar");
+  }
+  EXPECT_TRUE(kernels::ChaChaKernels().back().supported);
+  EXPECT_STREQ(kernels::ChaChaKernels().back().name, "scalar");
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // SHA-256 against FIPS 180-4 / NIST vectors; ChaCha20 against RFC 8439.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <string>
+
 #include "src/crypto/chacha20.h"
+#include "src/crypto/kernels.h"
 #include "src/crypto/sha256.h"
 #include "src/util/bytes.h"
 
@@ -82,6 +87,90 @@ TEST(Sha256Test, HashPartsIsFramed) {
   // Unambiguous framing: ("ab","c") != ("a","bc").
   Bytes ab = BytesOf("ab"), c = BytesOf("c"), a = BytesOf("a"), bc = BytesOf("bc");
   EXPECT_NE(ToHex(Sha256::HashParts({&ab, &c})), ToHex(Sha256::HashParts({&a, &bc})));
+}
+
+// --- Per-tier equivalence: each SHA-256 compression kernel against the
+// portable one. Tiers the host lacks are skipped by name. ---
+
+const kernels::Sha256Kernel& PortableSha256() { return kernels::Sha256Kernels().back(); }
+
+Bytes RandomBytes(std::mt19937& rng, size_t n) {
+  Bytes b(n);
+  for (uint8_t& c : b) {
+    c = static_cast<uint8_t>(rng());
+  }
+  return b;
+}
+
+class Sha256TierTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    for (const kernels::Sha256Kernel& k : kernels::Sha256Kernels()) {
+      if (GetParam() == k.name) {
+        kernel_ = &k;
+      }
+    }
+    if (kernel_ == nullptr || !kernel_->supported) {
+      GTEST_SKIP() << "SHA-256 kernel tier " << GetParam() << " not supported on this host";
+    }
+  }
+
+  const kernels::Sha256Kernel* kernel_ = nullptr;
+};
+
+TEST_P(Sha256TierTest, CompressMatchesPortableOnRandomBlocks) {
+  // Random chaining states and random runs of 1..9 whole blocks.
+  std::mt19937 rng(1234);
+  for (int trial = 0; trial < 200; ++trial) {
+    uint32_t state[8], ref[8];
+    for (uint32_t& w : state) {
+      w = static_cast<uint32_t>(rng());
+    }
+    std::memcpy(ref, state, sizeof(ref));
+    const size_t nblocks = 1 + trial % 9;
+    const Bytes data = RandomBytes(rng, 64 * nblocks);
+    kernel_->compress(state, data.data(), nblocks);
+    PortableSha256().compress(ref, data.data(), nblocks);
+    ASSERT_EQ(0, std::memcmp(state, ref, sizeof(ref))) << "trial " << trial;
+  }
+}
+
+TEST_P(Sha256TierTest, EverySplitPointMatchesPortable) {
+  // Random messages of every length up to 200 bytes, fed in two Updates at
+  // every split point, against a one-shot portable hash.
+  std::mt19937 rng(99);
+  const Bytes msg = RandomBytes(rng, 200);
+  for (size_t n = 0; n <= msg.size(); ++n) {
+    const std::string want = ToHex(Sha256(PortableSha256()).Update(msg.data(), n).Finish());
+    for (size_t cut = 0; cut <= n; ++cut) {
+      Sha256 h(*kernel_);
+      h.Update(msg.data(), cut);
+      h.Update(msg.data() + cut, n - cut);
+      ASSERT_EQ(ToHex(h.Finish()), want) << "length " << n << " split at " << cut;
+    }
+  }
+}
+
+TEST_P(Sha256TierTest, NistVectors) {
+  EXPECT_EQ(ToHex(Sha256(*kernel_).Update(BytesOf("abc")).Finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  // A long multi-block run handed to the kernel in one call.
+  EXPECT_EQ(ToHex(Sha256(*kernel_).Update(Bytes(1000000, 'a')).Finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Sha256TierTest, ::testing::Values("sha_ni", "portable"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(Sha256KernelSelectionTest, ShaNiWhenCpuidHasIt) {
+  const std::string selected = kernels::SelectedSha256Kernel().name;
+  if (kernels::Sha256Kernels().size() > 1 && HostCpuFeatures().sha_ni) {
+    EXPECT_EQ(selected, "sha_ni");
+  } else {
+    EXPECT_EQ(selected, "portable");
+  }
 }
 
 TEST(ChaCha20Test, Rfc8439BlockVector) {
