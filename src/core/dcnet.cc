@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 #include "src/crypto/chacha20.h"
 
@@ -26,7 +25,7 @@ Nonce12 RoundNonce(uint64_t round) {
   return nonce;
 }
 
-// Below this many bytes per worker, thread spawn overhead beats the win.
+// Below this many bytes per column, the hand-off to a worker beats the win.
 constexpr size_t kMinColumnBytes = 4096;
 
 }  // namespace
@@ -108,35 +107,23 @@ void PadExpander::XorPads(const std::vector<uint32_t>& indices, uint64_t round,
   if (len == 0 || indices.empty()) {
     return;
   }
-  // Column width per worker, rounded up to the 64-byte block size so every
-  // worker seeks to a block boundary.
+  // Column width per worker, rounded up to whole 16-block (1 KiB) batches
+  // of the widest ChaCha20 kernel, so only the last column ends in the
+  // slower narrow-kernel tail, and every column seeks to a block boundary.
   size_t columns = std::max<size_t>(num_threads, 1);
   columns = std::min(columns, (len + kMinColumnBytes - 1) / kMinColumnBytes);
   if (columns <= 1) {
     XorColumn(indices, round, 0, len, inout.data());
     return;
   }
-  size_t width = ((len + columns - 1) / columns + 63) & ~size_t{63};
-  std::vector<std::thread> workers;
-  workers.reserve(columns - 1);
+  const size_t width = ((len + columns - 1) / columns + 1023) & ~size_t{1023};
+  columns = (len + width - 1) / width;
   uint8_t* acc = inout.data();
-  // All but the first column on worker threads; the first runs on the
-  // calling thread instead of it idling in join.
-  for (size_t begin = width; begin < len; begin += width) {
-    size_t end = std::min(len, begin + width);
-    workers.emplace_back(
-        [this, &indices, round, begin, end, acc] { XorColumn(indices, round, begin, end, acc); });
-  }
-  XorColumn(indices, round, 0, std::min(len, width), acc);
-  for (auto& worker : workers) {
-    worker.join();
-  }
-}
-
-void PadExpander::XorPad(size_t index, uint64_t round, Bytes& inout) const {
-  const Nonce12 nonce = RoundNonce(round);
-  ChaCha20Stream stream(schedules_[index].words, nonce.b);
-  stream.XorStreamRaw(inout.data(), inout.size());
+  ParallelFor(columns, columns, [&](size_t first, size_t last) {
+    for (size_t c = first; c < last; ++c) {
+      XorColumn(indices, round, c * width, std::min(len, (c + 1) * width), acc);
+    }
+  });
 }
 
 void PadExpander::XorAllPads(uint64_t round, Bytes& inout, size_t num_threads) const {
@@ -147,6 +134,31 @@ bool PadExpander::PadBit(size_t index, uint64_t round, size_t bit_index) const {
   assert(index < schedules_.size());
   ChaCha20Stream stream(schedules_[index].words, RoundNonce(round).b);
   return StreamPadBit(stream, bit_index);
+}
+
+void XorCompositePads(const PadExpander& expander, const std::vector<uint32_t>& indices,
+                      uint64_t round, Bytes& inout) {
+  const size_t threads = indices.size() > kParallelPadKeys ? DefaultCryptoThreads() : 1;
+  expander.XorPads(indices, round, inout, threads);
+}
+
+CompositePadJob::CompositePadJob(std::shared_ptr<const PadExpander> expander,
+                                 std::vector<uint32_t> expected, uint64_t round, size_t len,
+                                 Bytes buffer)
+    : state_(std::make_shared<State>(
+          State{std::move(expander), std::move(expected), round, len, std::move(buffer)})) {
+  task_ = std::make_shared<WorkerPool::Task>([st = state_] {
+    st->acc.assign(st->len, 0);
+    XorCompositePads(*st->expander, st->expected, st->round, st->acc);
+  });
+  WorkerPool::Shared().Post(task_);
+}
+
+CompositePadJob::~CompositePadJob() { task_->Cancel(); }
+
+Bytes CompositePadJob::Take() {
+  task_->Join();
+  return std::move(state_->acc);
 }
 
 void XorDcnetPadsParallel(const std::vector<const Bytes*>& shared_keys, uint64_t round,

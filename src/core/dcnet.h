@@ -8,13 +8,21 @@
 // where c_i = m_i ^ PAD(i,0) ^ ... ^ PAD(i,M-1) and server j's ciphertext
 // s_j = XOR_{i in L} PAD(i,j) ^ (client ciphertexts j received directly) —
 // every pad appears exactly twice and cancels.
+//
+// A server's composite pad XOR_{i in L} PAD(i,j) depends only on the keys,
+// the round and the length, never on what clients send, so servers expand
+// it in the background from round open (CompositePadJob, on the shared
+// worker pool of util/parallel.h) and only patch in the difference between
+// the predicted and the actual client list at window close (server.h).
 #ifndef DISSENT_CORE_DCNET_H_
 #define DISSENT_CORE_DCNET_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/parallel.h"
 
 namespace dissent {
 
@@ -57,20 +65,14 @@ class PadExpander {
   size_t num_keys() const { return schedules_.size(); }
 
   // XORs PAD(keys[i], round) for every i in `indices` into `inout`
-  // (full-buffer-length pads). Fans the work across up to `num_threads`
-  // workers by *columns*: each worker owns a contiguous byte range of the
-  // accumulator and expands every client's keystream for just that range via
-  // an O(1) counter seek. Workers write disjoint ranges of `inout` directly —
-  // no per-worker full-length buffers, no final fold pass.
+  // (full-buffer-length pads). Fans the work out on the worker pool
+  // (util/parallel.h) into up to `num_threads` *columns*: each column is a
+  // contiguous byte range of the accumulator, for which every client's
+  // keystream is expanded via an O(1) counter seek. Columns write disjoint
+  // ranges of `inout` directly — no per-worker full-length buffers, no final
+  // fold pass.
   void XorPads(const std::vector<uint32_t>& indices, uint64_t round, Bytes& inout,
                size_t num_threads) const;
-
-  // One key's pad, streamed into `inout`. This is the ingest-time hook: a
-  // server folds PAD(i) into its round accumulator the moment client i's
-  // ciphertext is accepted, so that share of the combine runs inside the
-  // submission window instead of after it (XOR commutes, so the result is
-  // bit-identical to batching everything at window close).
-  void XorPad(size_t index, uint64_t round, Bytes& inout) const;
 
   // All keys (the common client path: every server pad, single buffer).
   void XorAllPads(uint64_t round, Bytes& inout, size_t num_threads = 1) const;
@@ -90,6 +92,47 @@ class PadExpander {
 
   std::vector<KeySchedule> schedules_;
   std::vector<uint32_t> all_indices_;  // 0..N-1, so XorAllPads never allocates
+};
+
+// The server's composite-pad rule (Algorithm 2 step 3): XORs PAD(i, round)
+// for every i in `indices` into `inout`, fanning the columns out on the
+// worker pool once there are more than kParallelPadKeys keys (§3.4: "these
+// computations are parallelizable"). Up to that one thread per server round
+// is the better use of the pool: other servers' rounds and the protocol
+// thread share it, and narrow columns cost CPU in per-column kernel tails.
+inline constexpr size_t kParallelPadKeys = 256;
+void XorCompositePads(const PadExpander& expander, const std::vector<uint32_t>& indices,
+                      uint64_t round, Bytes& inout);
+
+// One server round's composite pad, XOR_{i in expected} PAD(i, round) over
+// `len` bytes, expanded in the background: construction posts it to the
+// shared worker pool, Take() joins it (running it on the caller if no worker
+// has started it yet) and hands over the accumulator. Destroying an
+// unfinished job cancels it if it has not started; a running one finishes
+// into state only it still owns, so the owner never waits on a drop.
+class CompositePadJob {
+ public:
+  // `buffer` donates its capacity to the accumulator.
+  CompositePadJob(std::shared_ptr<const PadExpander> expander, std::vector<uint32_t> expected,
+                  uint64_t round, size_t len, Bytes buffer);
+  ~CompositePadJob();
+  CompositePadJob(const CompositePadJob&) = delete;
+  CompositePadJob& operator=(const CompositePadJob&) = delete;
+
+  const std::vector<uint32_t>& expected() const { return state_->expected; }
+  size_t length() const { return state_->len; }
+  Bytes Take();
+
+ private:
+  struct State {
+    std::shared_ptr<const PadExpander> expander;
+    std::vector<uint32_t> expected;
+    uint64_t round;
+    size_t len;
+    Bytes acc;
+  };
+  std::shared_ptr<State> state_;
+  std::shared_ptr<WorkerPool::Task> task_;
 };
 
 // Server side (Algorithm 2 step 3): XORs the pads for many clients into

@@ -743,12 +743,12 @@ void ServerEngine::MaybeCertify(uint64_t round, Actions& a) {
       }
     }
   }
-  std::vector<Bytes> cts, commits;
+  std::vector<const Bytes*> cts, commits;
   cts.reserve(num_servers_);
   commits.reserve(num_servers_);
   for (size_t o = 0; o < num_servers_; ++o) {
-    cts.push_back(*st.server_cts[o]);
-    commits.push_back(*st.commits[o]);
+    cts.push_back(&*st.server_cts[o]);
+    commits.push_back(&*st.commits[o]);
   }
   auto cleartext = logic_->CombineAndVerify(round, cts, commits);
   if (!cleartext.has_value()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 #include "src/core/dcnet.h"
 #include "src/core/output_cert.h"
@@ -13,33 +12,15 @@ namespace dissent {
 
 namespace {
 
-// Pairwise tree fold of equal-length buffers via word-wise XOR. XOR is
-// associative/commutative, so this is bit-identical to the sequential fold
-// while keeping each level's operands hot in cache.
-Bytes TreeXor(const std::vector<Bytes>& parts) {
+// Folds equal-length buffers into one accumulator via word-wise XOR: one
+// copy of the first operand, then one in-place pass per further operand.
+Bytes XorFold(const std::vector<const Bytes*>& parts) {
   assert(!parts.empty());
-  if (parts.size() == 1) {
-    return parts[0];
+  Bytes acc = *parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) {
+    XorWords(acc.data(), parts[i]->data(), acc.size());
   }
-  // Level 0 materializes ceil(n/2) pair sums; later levels fold in place.
-  std::vector<Bytes> acc;
-  acc.reserve((parts.size() + 1) / 2);
-  for (size_t i = 0; i + 1 < parts.size(); i += 2) {
-    Bytes pair = parts[i];
-    XorWords(pair.data(), parts[i + 1].data(), pair.size());
-    acc.push_back(std::move(pair));
-  }
-  if (parts.size() % 2 != 0) {
-    acc.push_back(parts.back());
-  }
-  while (acc.size() > 1) {
-    size_t half = acc.size() / 2;
-    for (size_t i = 0; i < half; ++i) {
-      XorWords(acc[i].data(), acc[acc.size() - 1 - i].data(), acc[i].size());
-    }
-    acc.resize(acc.size() - half);
-  }
-  return std::move(acc[0]);
+  return acc;
 }
 
 }  // namespace
@@ -55,7 +36,7 @@ DissentServer::DissentServer(const GroupDef& def, size_t server_index,
   for (const BigInt& client_pub : def_.client_pubs) {
     client_keys_.push_back(DeriveSharedKey(*def_.group, priv_, client_pub, "dissent.dcnet"));
   }
-  pad_expander_ = PadExpander(client_keys_);
+  pad_expander_ = std::make_shared<const PadExpander>(client_keys_);
   expelled_.assign(def_.num_clients(), false);
   rounds_.resize(pipeline_depth_);
   ResetScheduleWindow(SlotSchedule(def.num_clients(), def.policy.default_slot_length));
@@ -104,13 +85,60 @@ void DissentServer::StartRound(uint64_t round) {
   RoundSlot& slot = rounds_[round % pipeline_depth_];
   slot.round = round;
   slot.active = true;
-  slot.recv_acc.clear();
-  slot.server_ct.clear();
+  slot.acc.clear();
+  slot.acc_pads.clear();
   slot.received_ids.clear();
   slot.submitted.assign((def_.num_clients() + 63) / 64, 0);
+  // The composite pad depends only on keys, round and length, so expand it
+  // in the background now, for the clients this round is expected to carry,
+  // while the submission window runs. Replacing the job cancels one the
+  // slot's previous round never joined (an abort); the previous round's
+  // ciphertext buffer becomes the new accumulator.
+  slot.pad_job = std::make_unique<CompositePadJob>(pad_expander_, ExpectedClients(), round,
+                                                   ScheduleFor(round).TotalLength(),
+                                                   std::move(slot.server_ct));
+  slot.server_ct.clear();
   newest_round_ = std::max(newest_round_, round);
   equivocator_.reset();
   PruneEvidence();
+  NotePeakState();
+}
+
+void DissentServer::AdoptPadJob(RoundSlot& slot, size_t len) {
+  // The job's accumulator becomes the round accumulator, so a round holds one
+  // L-byte buffer, never a pad buffer next to a ciphertext buffer. Joining
+  // runs the job here if no worker has started it; by the first accept a
+  // worker has normally finished it.
+  if (slot.pad_job != nullptr && slot.pad_job->length() == len) {
+    slot.acc_pads = slot.pad_job->expected();
+    slot.acc = slot.pad_job->Take();
+  } else {
+    slot.acc_pads.clear();
+    slot.acc.assign(len, 0);
+  }
+  slot.pad_job.reset();
+}
+
+std::vector<uint32_t> DissentServer::ExpectedClients() const {
+  // Predict the composite list of the last closed round; before any close,
+  // every member. Clients expelled since then are certainly out.
+  std::vector<uint32_t> expected;
+  if (last_composite_.has_value()) {
+    expected.reserve(last_composite_->size());
+    for (uint32_t i : *last_composite_) {
+      if (!expelled_[i]) {
+        expected.push_back(i);
+      }
+    }
+  } else {
+    expected.reserve(def_.num_clients());
+    for (size_t i = 0; i < def_.num_clients(); ++i) {
+      if (!expelled_[i]) {
+        expected.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  return expected;
 }
 
 bool DissentServer::AcceptClientCiphertext(uint64_t round, size_t client_index,
@@ -128,18 +156,13 @@ bool DissentServer::AcceptClientCiphertext(uint64_t round, size_t client_index,
     return false;  // duplicate
   }
   word |= bit;
-  // Streaming combine: fold the ciphertext — and this client's pad, which
-  // is certainly part of the composite list every accepted client joins —
-  // into the round accumulator now, and let the buffer go. The round never
-  // holds more than the accumulator (plus the bounded evidence log)
-  // regardless of how many clients submit, and the pad expansion for
-  // directly-heard clients runs inside the submission window instead of on
-  // the post-window critical path.
-  if (slot->recv_acc.empty()) {
-    slot->recv_acc.assign(ciphertext.size(), 0);
+  // Streaming combine: fold the ciphertext into the round accumulator now,
+  // and let the buffer go. The round never holds more than the accumulator
+  // (plus the bounded evidence log) regardless of how many clients submit.
+  if (slot->acc.empty()) {
+    AdoptPadJob(*slot, ciphertext.size());
   }
-  XorWords(slot->recv_acc.data(), ciphertext.data(), ciphertext.size());
-  pad_expander_.XorPad(client_index, round, slot->recv_acc);
+  XorWords(slot->acc.data(), ciphertext.data(), ciphertext.size());
   slot->received_ids.push_back(static_cast<uint32_t>(client_index));
   if (evidence_rounds_ > 0) {
     evidence_bytes_ += ciphertext.size();
@@ -187,11 +210,8 @@ const Bytes& DissentServer::BuildServerCiphertext(uint64_t round,
                                                   const std::vector<uint32_t>& composite_list,
                                                   const std::vector<uint32_t>& own_share) {
   RoundSlot& st = *FindRound(round);
-  // The accumulator already holds the XOR of every ciphertext accepted at
-  // ingest time; seed it if nobody submitted.
-  const size_t len = ScheduleFor(round).TotalLength();
-  if (st.recv_acc.empty()) {
-    st.recv_acc.assign(len, 0);
+  if (st.acc.empty()) {
+    AdoptPadJob(st, ScheduleFor(round).TotalLength());  // nobody submitted
   }
   // If the trim assigned one of our accepted clients to a lower-indexed
   // server (possible only when a client multi-submits or a peer lies in its
@@ -206,37 +226,36 @@ const Bytes& DissentServer::BuildServerCiphertext(uint64_t round,
       for (uint32_t i : st.received_ids) {
         if (!std::binary_search(own_share.begin(), own_share.end(), i)) {
           auto ct = ev->second.received_cts.find(i);
-          if (ct != ev->second.received_cts.end() && ct->second.size() == st.recv_acc.size()) {
-            XorWords(st.recv_acc.data(), ct->second.data(), ct->second.size());
+          if (ct != ev->second.received_cts.end() && ct->second.size() == st.acc.size()) {
+            XorWords(st.acc.data(), ct->second.data(), ct->second.size());
           }
         }
       }
     }
   }
-  // Pads of directly-heard clients were folded at ingest; what remains is
-  // the pads of composite-list clients whose ciphertexts went to *other*
-  // servers (§3.4: s_j covers every participating client's pad). The caller
-  // guarantees every accepted client appears in the composite list — true
-  // by construction, since the composite is the union of all inventories.
-  std::vector<uint32_t> remaining;
-  remaining.reserve(composite_list.size());
+  // s_j = XOR_{i in l} PAD(i, j) ^ (accepted ciphertexts of l'_j) (§3.4).
+  // The accumulator already holds the pads of acc_pads (the job's expected
+  // set E, or nothing for a restored or re-laid-out round), so patch in the
+  // pads of acc_pads △ l: each XOR toggles one pad in or out, and at steady
+  // full participation the difference is empty.
+  std::vector<uint64_t> differs((def_.num_clients() + 63) / 64, 0);
+  for (uint32_t i : st.acc_pads) {
+    differs[i / 64] ^= 1ull << (i % 64);
+  }
   for (uint32_t i : composite_list) {
-    if ((st.submitted[i / 64] & (1ull << (i % 64))) == 0) {
-      remaining.push_back(i);
+    differs[i / 64] ^= 1ull << (i % 64);
+  }
+  std::vector<uint32_t> patch;
+  for (size_t w = 0; w < differs.size(); ++w) {
+    for (uint64_t bits = differs[w]; bits != 0; bits &= bits - 1) {
+      patch.push_back(static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits)));
     }
   }
-  st.server_ct = std::move(st.recv_acc);
-  st.recv_acc.clear();
-  // XOR the remaining pads straight into the accumulator via the precomputed
-  // key schedules. Large client sets fan out across hardware threads (§3.4:
-  // server computations are parallelizable); each worker owns a column of
-  // the buffer, so there are no per-worker copies to fold.
-  constexpr size_t kParallelThreshold = 256;
-  size_t threads = 1;
-  if (remaining.size() >= kParallelThreshold) {
-    threads = std::max<size_t>(std::min<size_t>(std::thread::hardware_concurrency(), 8), 1);
-  }
-  pad_expander_.XorPads(remaining, round, st.server_ct, threads);
+  XorCompositePads(*pad_expander_, patch, round, st.acc);
+  st.server_ct = std::move(st.acc);
+  st.acc.clear();
+  st.acc_pads.clear();
+  last_composite_ = composite_list;
   // Retain evidence for accusation tracing (received ciphertexts were
   // already moved in at ingest).
   if (evidence_rounds_ > 0) {
@@ -263,18 +282,21 @@ const Bytes& DissentServer::server_ciphertext(uint64_t round) const {
 }
 
 std::optional<Bytes> DissentServer::CombineAndVerify(uint64_t round,
-                                                     const std::vector<Bytes>& server_cts,
-                                                     const std::vector<Bytes>& commits) {
+                                                     const std::vector<const Bytes*>& server_cts,
+                                                     const std::vector<const Bytes*>& commits) {
   assert(server_cts.size() == def_.num_servers() && commits.size() == def_.num_servers());
   const size_t len = ScheduleFor(round).TotalLength();
   // One verification pass over all commitments before any combining work.
+  // Our own ciphertext is the one CommitHash hashed into our commitment, so
+  // only the siblings' need hashing.
   for (size_t j = 0; j < server_cts.size(); ++j) {
-    if (server_cts[j].size() != len || Sha256::Hash(server_cts[j]) != commits[j]) {
+    if (server_cts[j]->size() != len ||
+        (j != index_ && Sha256::Hash(*server_cts[j]) != *commits[j])) {
       equivocator_ = j;
       return std::nullopt;
     }
   }
-  return TreeXor(server_cts);
+  return XorFold(server_cts);
 }
 
 namespace {
@@ -376,6 +398,7 @@ DissentServer::RoundFinish DissentServer::FinishRound(uint64_t round, const Byte
   sched_base_round_ = round + 1;
   if (RoundSlot* slot = FindRound(round)) {
     slot->active = false;
+    slot->pad_job.reset();
   }
   return result;
 }
@@ -392,6 +415,7 @@ void DissentServer::AbortRound(uint64_t round) {
   sched_base_round_ = round + 1;
   if (RoundSlot* slot = FindRound(round)) {
     slot->active = false;
+    slot->pad_job.reset();  // cancels it if no worker has started it
   }
   // No certified output exists: drop the round's evidence (tracing against
   // an aborted round is meaningless).
@@ -408,7 +432,10 @@ void DissentServer::AbortRound(uint64_t round) {
 
 Bytes DissentServer::SerializeState() const {
   Writer w;
-  w.Str("dissent.server.state.v1");
+  // v2: each accumulator is stored with the set of clients whose pads it
+  // holds. A v1 accumulator held the pads of its accepted clients with no
+  // such record, so it cannot be patched exactly and is refused.
+  w.Str("dissent.server.state.v2");
   w.U32(static_cast<uint32_t>(index_));
   w.U64(sched_base_round_);
   w.U64(newest_round_);
@@ -428,7 +455,11 @@ Bytes DissentServer::SerializeState() const {
   for (const RoundSlot& slot : rounds_) {
     w.U64(slot.round);
     w.Bool(slot.active);
-    w.Blob(slot.recv_acc);
+    w.Blob(slot.acc);
+    w.U32(static_cast<uint32_t>(slot.acc_pads.size()));
+    for (uint32_t id : slot.acc_pads) {
+      w.U32(id);
+    }
     w.Blob(slot.server_ct);
     w.U32(static_cast<uint32_t>(slot.received_ids.size()));
     for (uint32_t id : slot.received_ids) {
@@ -447,7 +478,7 @@ bool DissentServer::RestoreState(const Bytes& state) {
   std::string magic;
   uint32_t index, sched_count, expelled_count;
   uint64_t base, newest;
-  if (!r.Str(&magic) || magic != "dissent.server.state.v1" || !r.U32(&index) ||
+  if (!r.Str(&magic) || magic != "dissent.server.state.v2" || !r.U32(&index) ||
       index != index_ || !r.U64(&base) || !r.U64(&newest) || !r.U32(&sched_count) ||
       sched_count != pipeline_depth_) {
     return false;
@@ -479,9 +510,18 @@ bool DissentServer::RestoreState(const Bytes& state) {
   std::vector<RoundSlot> rounds(ring_count);
   for (uint32_t k = 0; k < ring_count; ++k) {
     RoundSlot& slot = rounds[k];
-    uint32_t n_ids, n_words;
-    if (!r.U64(&slot.round) || !r.Bool(&slot.active) || !r.Blob(&slot.recv_acc) ||
-        !r.Blob(&slot.server_ct) || !r.U32(&n_ids) || n_ids > def_.num_clients()) {
+    uint32_t n_pads, n_ids, n_words;
+    if (!r.U64(&slot.round) || !r.Bool(&slot.active) || !r.Blob(&slot.acc) ||
+        !r.U32(&n_pads) || n_pads > def_.num_clients()) {
+      return false;
+    }
+    slot.acc_pads.resize(n_pads);
+    for (uint32_t i = 0; i < n_pads; ++i) {
+      if (!r.U32(&slot.acc_pads[i]) || slot.acc_pads[i] >= def_.num_clients()) {
+        return false;
+      }
+    }
+    if (!r.Blob(&slot.server_ct) || !r.U32(&n_ids) || n_ids > def_.num_clients()) {
       return false;
     }
     slot.received_ids.resize(n_ids);
@@ -509,8 +549,11 @@ bool DissentServer::RestoreState(const Bytes& state) {
   expelled_ = std::move(expelled);
   // The in-flight rounds resume exactly where the crash interrupted them:
   // already-accepted submissions are in the accumulators, and the engine's
-  // snapshot replays its own inventory/commit progress on top.
+  // snapshot replays its own inventory/commit progress on top. Pad jobs are
+  // not state: the replaced slots' jobs are canceled, and a restored round
+  // expands at window close every pad its accumulator does not hold yet.
   rounds_ = std::move(rounds);
+  last_composite_.reset();
   evidence_.clear();
   evidence_bytes_ = 0;
   equivocator_.reset();
@@ -529,14 +572,15 @@ const DissentServer::RoundEvidence* DissentServer::EvidenceFor(uint64_t round) c
 }
 
 bool DissentServer::PadBit(uint64_t round, size_t client_index, size_t bit_index) const {
-  return pad_expander_.PadBit(client_index, round, bit_index);
+  return pad_expander_->PadBit(client_index, round, bit_index);
 }
 
 void DissentServer::NotePeakState() {
   size_t resident = 0;
   for (const RoundSlot& slot : rounds_) {
     if (slot.active) {
-      resident += slot.recv_acc.size() + slot.server_ct.size();
+      resident += slot.acc.size() + slot.server_ct.size() +
+                  (slot.pad_job != nullptr ? slot.pad_job->length() : 0);
     }
   }
   peak_round_state_bytes_ = std::max(peak_round_state_bytes_, resident);

@@ -2,23 +2,38 @@
 //
 // Pure protocol logic, no I/O and no clocks. One instance per server j. The
 // caller (a ServerEngine, see engine.h) drives it per round:
-//   1. Submission: StartRound opens per-round state; AcceptClientCiphertext
+//   1. Submission: StartRound opens per-round state and posts the round's
+//      composite-pad job (dcnet.h CompositePadJob) to the shared worker
+//      pool: XOR_{i in E} PAD(i, round) for the *expected* client set E —
+//      the composite list of the last round this server closed, minus
+//      clients expelled since (every non-expelled client before the first
+//      close). The pads depend only on keys, round and length, so they
+//      expand on idle cores while the window runs. AcceptClientCiphertext
 //      collects ciphertexts until the window-policy deadline (owned by the
-//      engine/driver). Accepted ciphertexts are *streamed*: each one is
-//      XORed into the round's accumulator (XorWords) at ingest time and the
-//      buffer is released (or moved into the bounded accusation-evidence
-//      log), so a round in flight holds O(L) ciphertext bytes no matter how
-//      many clients submit — not the O(N*L) of buffering all N ciphertexts
-//      until the window closes. Duplicate detection is a flat per-round
-//      bitmap indexed by client id, ring-buffered by round % pipeline_depth.
+//      engine/driver). The first accepted ciphertext joins the job (running
+//      it on the caller if no worker has started it) and adopts its buffer
+//      as the round accumulator, so a round holds one L-byte buffer at any
+//      time. Accepted ciphertexts are *streamed*: each one is XORed into that
+//      accumulator (XorWords) at ingest time and the buffer is released (or
+//      moved into the bounded accusation-evidence log), so a round in flight
+//      holds O(L) ciphertext bytes no matter how many clients submit — not
+//      the O(N*L) of buffering all N ciphertexts until the window closes. No
+//      per-client pad is folded at ingest: the accumulator holds the pads of
+//      exactly E (recorded with it, also in snapshots). Duplicate detection
+//      is a flat per-round bitmap indexed by client id, ring-buffered by
+//      round % pipeline_depth.
 //   2. Inventory: Inventory(round) lists the clients heard from directly.
 //   3. Commitment: after the composite client list l is fixed (union of
-//      trimmed inventories), BuildServerCiphertext XORs the per-client pads
-//      for every i in l into the accumulator via PadExpander workers;
+//      trimmed inventories), BuildServerCiphertext patches the pads of E △ l
+//      into the accumulator — empty at steady full participation. Without a
+//      usable job (a restored slot that had no accumulator yet, a layout
+//      whose length changed) E is empty and it expands every pad of l
+//      itself. XOR commutes, so s_j is byte-identical at any worker count;
 //      CommitHash publishes HASH(s_j).
-//   4/5. Combining + certification: CombineAndVerify checks every server
-//      commitment in one pass (equivocation is detected here) and tree-XORs
-//      the ciphertexts, then the caller collects signatures (output_cert.h).
+//   4/5. Combining + certification: CombineAndVerify checks every sibling's
+//      commitment in one pass (equivocation is detected here) and folds the
+//      ciphertexts into one accumulator, then the caller collects signatures
+//      (output_cert.h).
 //
 // Rounds are keyed by round number: up to `pipeline_depth` rounds may be in
 // flight concurrently (submissions for round r+1 accepted while round r is
@@ -44,6 +59,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -84,8 +100,9 @@ class DissentServer {
   }
 
   // --- step 1: submission ---
-  // Opens per-round state; up to pipeline_depth rounds may be open at once
-  // (starting round r reuses — and thus drops — the ring slot of round
+  // Opens per-round state and starts the round's background pad job; up to
+  // pipeline_depth rounds may be open at once (starting round r reuses —
+  // and thus drops, canceling any unjoined job — the ring slot of round
   // r - depth).
   void StartRound(uint64_t round);
   // Streams one client ciphertext into the round accumulator. Returns false
@@ -111,11 +128,13 @@ class DissentServer {
   const Bytes& server_ciphertext(uint64_t round) const;
 
   // --- steps 4-5: combining + certification ---
-  // Verifies every server ciphertext against its commitment in one pass,
-  // then tree-XORs them (word-wise, pairwise fold). Returns nullopt (and
-  // records the cheater) on a commitment mismatch.
-  std::optional<Bytes> CombineAndVerify(uint64_t round, const std::vector<Bytes>& server_cts,
-                                        const std::vector<Bytes>& commits);
+  // Verifies every sibling's ciphertext against its commitment in one pass
+  // (this server's own entry is the one CommitHash committed to, and is not
+  // re-hashed), then XORs them all into one accumulator. Returns nullopt
+  // (and records the cheater) on a commitment mismatch.
+  std::optional<Bytes> CombineAndVerify(uint64_t round,
+                                        const std::vector<const Bytes*>& server_cts,
+                                        const std::vector<const Bytes*>& commits);
   std::optional<size_t> detected_equivocator() const { return equivocator_; }
 
   // Deterministic (derived nonce, RFC 6979 style): re-signing the same
@@ -161,11 +180,13 @@ class DissentServer {
 
   // --- crash recovery (engine-driven) ---
   // Serialized session state a restarting server needs to rejoin mid-stream:
-  // the lagged schedule window and the expulsion set. In-flight round state
-  // (ring, accumulators) is deliberately excluded — those rounds are redone
-  // from peers' retransmissions. Evidence and pseudonym keys are excluded
-  // too: tracing for pre-crash rounds degrades to unavailable, and the
-  // transport reinstalls keys on restart. RestoreState also reseeds the
+  // the lagged schedule window, the expulsion set and the in-flight
+  // submission ring, each accumulator with the set of clients whose pads it
+  // holds (format v2; a v1 state, whose accumulators held unrecorded pads,
+  // is refused). Pad jobs are not state: a restored round expands the pads
+  // its accumulator lacks at window close. Evidence and pseudonym keys are
+  // excluded too: tracing for pre-crash rounds degrades to unavailable, and
+  // the transport reinstalls keys on restart. RestoreState also reseeds the
   // internal rng from the snapshot hash, keeping the restarted server
   // deterministic (steady-state signing no longer touches it at all).
   Bytes SerializeState() const;
@@ -226,9 +247,10 @@ class DissentServer {
 
   // --- observability ---
   // Peak of the combining state resident across all in-flight rounds: the
-  // streaming accumulators plus built server ciphertexts. O(depth * L) by
-  // construction — independent of the number of submitting clients. The
-  // bounded evidence log (when enabled) is accounted separately.
+  // streaming accumulators, the pad jobs' accumulators and built server
+  // ciphertexts. O(depth * L) by construction — independent of the number
+  // of submitting clients. The bounded evidence log (when enabled) is
+  // accounted separately.
   size_t peak_round_state_bytes() const { return peak_round_state_bytes_; }
   size_t evidence_bytes() const { return evidence_bytes_; }
 
@@ -237,10 +259,15 @@ class DissentServer {
   struct RoundSlot {
     uint64_t round = 0;
     bool active = false;
-    // XOR of every accepted client ciphertext; sized lazily on first accept
-    // (capacity is reused across the ring). BuildServerCiphertext folds the
-    // pads in and moves this into server_ct.
-    Bytes recv_acc;
+    // Background composite pads of the expected set, until the first accept
+    // (or the build) adopts its accumulator as `acc`.
+    std::unique_ptr<CompositePadJob> pad_job;
+    // XOR of every accepted client ciphertext and of the pads of exactly the
+    // clients in acc_pads; empty until adopted. BuildServerCiphertext patches
+    // acc_pads △ l and moves it into server_ct, whose buffer the slot's next
+    // round's job reuses.
+    Bytes acc;
+    std::vector<uint32_t> acc_pads;
     Bytes server_ct;
     std::vector<uint32_t> received_ids;  // arrival order; sorted on demand
     std::vector<uint64_t> submitted;     // bitmap over client ids
@@ -248,6 +275,8 @@ class DissentServer {
 
   RoundSlot* FindRound(uint64_t round);
   const RoundSlot* FindRound(uint64_t round) const;
+  std::vector<uint32_t> ExpectedClients() const;
+  void AdoptPadJob(RoundSlot& slot, size_t len);
   void ResetScheduleWindow(SlotSchedule initial);
   void NotePeakState();
   void PruneEvidence();
@@ -260,8 +289,11 @@ class DissentServer {
   std::vector<Bytes> client_keys_;  // K_ij per client i
   // Precomputed key schedules for all N client secrets; the per-round hot
   // path expands pads straight into the accumulator with no per-client
-  // buffers.
-  PadExpander pad_expander_;
+  // buffers. Shared with in-flight pad jobs, which may outlive the server.
+  std::shared_ptr<const PadExpander> pad_expander_;
+  // Composite list of the last round this server closed (the next jobs'
+  // expected set); unset before the first close and after a restore.
+  std::optional<std::vector<uint32_t>> last_composite_;
 
   // scheds_[k] is the layout of round sched_base_round_ + k; the window is
   // pipeline_depth entries wide. FinishRound(r) (with r == sched_base_round_)

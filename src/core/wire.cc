@@ -60,6 +60,11 @@ bool BitmapCanonical(const Bytes& bitmap, size_t bits) {
 
 Bytes SerializeWire(const WireMessage& msg) {
   Writer w;
+  SerializeWireTo(msg, w);
+  return w.Take();
+}
+
+void SerializeWireTo(const WireMessage& msg, Writer& w) {
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -236,7 +241,6 @@ Bytes SerializeWire(const WireMessage& msg) {
         }
       },
       msg);
-  return w.Take();
 }
 
 std::optional<WireMessage> ParseWire(const Bytes& data) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/serialize.h"
 
 namespace dissent {
 namespace wire {
@@ -361,6 +362,9 @@ using WireMessage =
 
 // Canonical encoding: [u8 tag][fixed fields][length-prefixed byte strings].
 Bytes SerializeWire(const WireMessage& msg);
+// The same bytes, appended to `w` (so a caller can put a header in front
+// without copying the body).
+void SerializeWireTo(const WireMessage& msg, Writer& w);
 
 // Strict parse: returns nullopt on truncation, trailing bytes, unknown tag,
 // non-canonical field values, or count fields larger than the remaining

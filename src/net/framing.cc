@@ -21,6 +21,18 @@ Bytes EncodeFrame(const Bytes& payload) {
   return out;
 }
 
+std::shared_ptr<const Bytes> FrameWire(const WireMessage& msg) {
+  Writer w;
+  w.U32(0);  // length prefix, patched below
+  SerializeWireTo(msg, w);
+  Bytes out = w.Take();
+  const uint32_t len = static_cast<uint32_t>(out.size() - kFrameHeaderBytes);
+  for (size_t i = 0; i < kFrameHeaderBytes; ++i) {
+    out[i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  return std::make_shared<const Bytes>(std::move(out));
+}
+
 bool FrameDecoder::Feed(const uint8_t* data, size_t len) {
   if (error_) {
     return false;

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 
+#include "src/core/wire.h"
 #include "src/util/bytes.h"
 
 namespace dissent {
@@ -33,6 +35,9 @@ inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 // Appends the framed encoding of `payload` (header + bytes) to `out`.
 void AppendFrame(const Bytes& payload, Bytes* out);
 Bytes EncodeFrame(const Bytes& payload);
+// EncodeFrame(SerializeWire(msg)), built in one buffer: the length prefix is
+// reserved up front and patched once the body is written.
+std::shared_ptr<const Bytes> FrameWire(const WireMessage& msg);
 
 class FrameDecoder {
  public:

@@ -848,7 +848,7 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
   for (const Envelope& env : actions.out) {
     if (env.msg.get() != cache_key) {
       cache_key = env.msg.get();
-      cache_frame = Connection::Frame(*SerializeWireShared(*env.msg));
+      cache_frame = FrameWire(*env.msg);
     }
     switch (env.to.kind) {
       case Peer::Kind::kServer:
@@ -1093,7 +1093,7 @@ void ClientHostNode::Dispatch(size_t local, ClientEngine::Actions actions) {
     // disconnected (or before our hello is queued) are dropped here; the
     // reliable mailbox re-sends them once the link is greeted.
     if (conn_ != nullptr && conn_->greeted && !conn_->closed()) {
-      conn_->Send(SerializeWire(*env.msg));
+      conn_->SendFramed(FrameWire(*env.msg));
     }
   }
   for (const TimerRequest& t : actions.timers) {

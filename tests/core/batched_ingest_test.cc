@@ -7,7 +7,9 @@
 
 #include "src/core/engine.h"
 #include "src/core/wire.h"
+#include "src/crypto/multiexp.h"
 #include "src/util/rng.h"
+#include "tests/core/park_pool.h"
 
 namespace dissent {
 namespace {
@@ -286,6 +288,220 @@ TEST(BatchedIngestTest, StaticWindowConfigKeepsPaperPolicy) {
     }
   }
   EXPECT_EQ(timers_armed, 0u) << "static policy must ignore the observation";
+}
+
+// --- Background composite pads (server.h step 1/3) ---
+//
+// Every case runs once on the worker pool and once inline (fast path off:
+// nothing is posted, the pad job runs on the caller at the first accept),
+// and checks both against the definition of s_j: XOR of the accepted
+// ciphertexts of l'_j and PAD(i, j) for every i in the composite list l.
+
+struct PadRound {
+  std::vector<uint32_t> submit;      // clients whose ciphertexts this server accepts
+  std::vector<uint32_t> composite;   // l (sorted)
+  std::vector<uint32_t> expel;       // expelled after the round opened
+  size_t reslot_after_open = 0;      // nonzero: BeginSlots(n) after the round opened
+};
+
+Bytes ClientCt(uint64_t round, uint32_t client, size_t len) {
+  Rng rng(round * 1000003 + client);
+  Bytes ct(len);
+  for (auto& b : ct) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return ct;
+}
+
+Bytes DefinitionCt(const ServerWorld& w, uint64_t round, const PadRound& plan, size_t len) {
+  Bytes expect(len, 0);
+  for (uint32_t i : plan.submit) {
+    XorInto(expect, ClientCt(round, i, len));
+  }
+  for (uint32_t i : plan.composite) {
+    XorDcnetPad(w.logic->SharedKeyWith(i), round, expect);
+  }
+  return expect;
+}
+
+// Runs the rounds on a fresh depth-1 server; returns each round's s_j and
+// commit, after checking s_j against its definition.
+std::vector<std::pair<Bytes, Bytes>> RunPadRounds(size_t clients, const std::vector<PadRound>& plan,
+                                                  bool background) {
+  ScopedCryptoFastPath mode(background);
+  auto w = MakeServerWorld(2, clients, 8100);
+  std::vector<std::pair<Bytes, Bytes>> out;
+  for (size_t k = 0; k < plan.size(); ++k) {
+    const uint64_t round = k + 1;
+    const PadRound& p = plan[k];
+    w.logic->StartRound(round);
+    for (uint32_t i : p.expel) {
+      w.logic->ExpelClient(i);
+    }
+    if (p.reslot_after_open != 0) {
+      w.logic->BeginSlots(p.reslot_after_open);
+    }
+    const size_t len = w.logic->ExpectedCiphertextLength(round);
+    for (uint32_t i : p.submit) {
+      EXPECT_TRUE(w.logic->AcceptClientCiphertext(round, i, ClientCt(round, i, len)));
+    }
+    const Bytes& ct = w.logic->BuildServerCiphertext(round, p.composite, p.submit);
+    EXPECT_EQ(ct, DefinitionCt(w, round, p, len)) << "round " << round << " bg=" << background;
+    out.emplace_back(ct, w.logic->CommitHash(round));
+    w.logic->FinishRound(round, Bytes(len, 0));
+  }
+  return out;
+}
+
+std::vector<uint32_t> Range(uint32_t n, uint32_t skip = UINT32_MAX) {
+  std::vector<uint32_t> v;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i != skip) {
+      v.push_back(i);
+    }
+  }
+  return v;
+}
+
+void ExpectPoolMatchesInline(size_t clients, const std::vector<PadRound>& plan) {
+  EXPECT_EQ(RunPadRounds(clients, plan, true), RunPadRounds(clients, plan, false));
+}
+
+TEST(BackgroundPadTest, FullParticipation) {
+  const auto all = Range(70);
+  ExpectPoolMatchesInline(70, {{all, all}, {all, all}, {all, all}});
+}
+
+TEST(BackgroundPadTest, FullParticipationAboveTheFanOutThreshold) {
+  const auto all = Range(kParallelPadKeys + 10);
+  ExpectPoolMatchesInline(all.size(), {{all, all}, {all, all}});
+}
+
+TEST(BackgroundPadTest, AbsentClients) {
+  // E (last composite) strictly contains l: the patch removes pads. Some of
+  // the composite went to the other server (l ⊋ l'_j).
+  const auto all = Range(70);
+  const std::vector<uint32_t> few = {0, 2, 5, 64, 69};
+  const std::vector<uint32_t> mine = {2, 64};
+  ExpectPoolMatchesInline(70, {{all, all}, {mine, few}, {mine, few}});
+}
+
+TEST(BackgroundPadTest, NewClients) {
+  // l strictly contains E: the patch adds pads.
+  const auto all = Range(70);
+  const std::vector<uint32_t> few = {1, 2, 66};
+  ExpectPoolMatchesInline(70, {{all, all}, {few, few}, {all, all}});
+}
+
+TEST(BackgroundPadTest, ExpulsionBetweenOpenAndClose) {
+  // Round 2's job was posted with client 3 expected; the expulsion lands
+  // while it is in flight, and round 3's job already leaves it out.
+  const auto all = Range(70);
+  const auto rest = Range(70, 3);
+  ExpectPoolMatchesInline(70, {{all, all}, {rest, rest, {3}}, {rest, rest}});
+}
+
+TEST(BackgroundPadTest, LayoutLengthChangeBetweenOpenAndClose) {
+  // The job was sized for the old layout; the round expands every pad of l
+  // itself instead.
+  const auto all = Range(70);
+  PadRound reslot{all, all};
+  reslot.reslot_after_open = 90;
+  ExpectPoolMatchesInline(70, {{all, all}, reslot, {all, all}});
+}
+
+TEST(BackgroundPadTest, AbortWithTheJobStillQueued) {
+  for (bool background : {true, false}) {
+    ScopedCryptoFastPath mode(background);
+    auto w = MakeServerWorld(2, 70, 8101);
+    const auto all = Range(70);
+    {
+      ParkedPool parked;
+      w.logic->StartRound(1);  // its job stays queued behind the parked workers
+      w.logic->AbortRound(1);
+    }
+    w.logic->StartRound(2);
+    const size_t len = w.logic->ExpectedCiphertextLength(2);
+    for (uint32_t i : all) {
+      ASSERT_TRUE(w.logic->AcceptClientCiphertext(2, i, ClientCt(2, i, len)));
+    }
+    const Bytes& ct = w.logic->BuildServerCiphertext(2, all, all);
+    EXPECT_EQ(ct, DefinitionCt(w, 2, {all, all}, len)) << "bg=" << background;
+  }
+}
+
+TEST(BackgroundPadTest, ServerDestroyedWhileItsJobIsQueued) {
+  // Under ASan: the released workers must not touch the destroyed server.
+  ParkedPool parked;
+  {
+    auto w = MakeServerWorld(2, 70, 8102, /*pipeline_depth=*/2);
+    w.logic->StartRound(1);
+    w.logic->StartRound(2);
+  }
+  parked.Release();
+  // A job destroyed after a worker took it finishes into its own state.
+  auto w = MakeServerWorld(2, 70, 8103);
+  w.logic->StartRound(1);
+  w.logic.reset();
+}
+
+TEST(BackgroundPadTest, SnapshotMidWindowThenRestore) {
+  const auto all = Range(70);
+  const PadRound plan{all, all};
+  for (bool background : {true, false}) {
+    ScopedCryptoFastPath mode(background);
+    // Snapshot after half the window (the accumulator holds E's pads) and
+    // before any accept (no accumulator yet: the restored round expands all
+    // of l at close).
+    for (size_t before : {35u, 0u}) {
+      auto a = MakeServerWorld(2, 70, 8104);
+      a.logic->StartRound(1);
+      const size_t len = a.logic->ExpectedCiphertextLength(1);
+      for (size_t i = 0; i < before; ++i) {
+        ASSERT_TRUE(a.logic->AcceptClientCiphertext(1, i, ClientCt(1, i, len)));
+      }
+      const Bytes state = a.logic->SerializeState();
+      auto b = MakeServerWorld(2, 70, 8104);
+      ASSERT_TRUE(b.logic->RestoreState(state));
+      EXPECT_EQ(b.logic->SerializeState(), state) << "restore is a fixed point";
+      for (size_t i = before; i < 70; ++i) {
+        ASSERT_TRUE(b.logic->AcceptClientCiphertext(1, i, ClientCt(1, i, len)));
+      }
+      const Bytes& ct = b.logic->BuildServerCiphertext(1, all, all);
+      EXPECT_EQ(ct, DefinitionCt(b, 1, plan, len)) << "bg=" << background << " before=" << before;
+    }
+  }
+}
+
+TEST(BackgroundPadTest, VersionOneStateIsRefused) {
+  // A v1 accumulator held the pads of its accepted clients without saying
+  // which; patching it as v2 would count pads twice.
+  auto a = MakeServerWorld(2, 8, 8105);
+  a.logic->StartRound(1);
+  const size_t len = a.logic->ExpectedCiphertextLength(1);
+  ASSERT_TRUE(a.logic->AcceptClientCiphertext(1, 0, ClientCt(1, 0, len)));
+  Bytes state = a.logic->SerializeState();
+  const std::string v2 = "dissent.server.state.v2";
+  auto at = std::search(state.begin(), state.end(), v2.begin(), v2.end());
+  ASSERT_NE(at, state.end());
+  *(at + static_cast<ptrdiff_t>(v2.size()) - 1) = '1';
+  auto b = MakeServerWorld(2, 8, 8105);
+  EXPECT_FALSE(b.logic->RestoreState(state));
+}
+
+TEST(BackgroundPadTest, PeakRoundStateCountsThePadJob) {
+  // Before the first accept the round holds only the job's accumulator;
+  // from then on only the adopted accumulator: one L-byte buffer per round.
+  auto w = MakeServerWorld(2, 16, 8106);
+  w.logic->SetEvidenceRounds(0);
+  w.logic->StartRound(1);
+  const size_t len = w.logic->ExpectedCiphertextLength(1);
+  EXPECT_EQ(w.logic->peak_round_state_bytes(), len);
+  for (uint32_t i = 0; i < 16; ++i) {
+    ASSERT_TRUE(w.logic->AcceptClientCiphertext(1, i, ClientCt(1, i, len)));
+  }
+  w.logic->BuildServerCiphertext(1, Range(16), Range(16));
+  EXPECT_EQ(w.logic->peak_round_state_bytes(), len);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "src/core/coordinator.h"
 #include "src/core/net_protocol.h"
+#include "src/crypto/multiexp.h"
 
 namespace dissent {
 namespace {
@@ -587,6 +588,35 @@ TEST(ChaosTest, NetStallResendRepairsSubmissionLostToOlderSnapshot) {
   ASSERT_GT(b.size(), kLost + 2) << "the pipeline never recovered the lost submissions";
   for (size_t r = 0; r < std::min(a.size(), b.size()); ++r) {
     ASSERT_EQ(a[r], b[r]) << "cleartexts diverged at round " << (r + 1);
+  }
+}
+
+TEST(ChaosTest, BackgroundPadsAreByteIdenticalToInlineUnderFaults) {
+  // The servers' composite pads run on the worker pool from round open; with
+  // the fast path off they run inline on the protocol thread. Under the
+  // full fault matrix (a server crash and snapshot restore included) both
+  // must certify the same rounds and leave every server in the same state —
+  // commits and server ciphertexts of the rounds in flight included.
+  constexpr uint64_t kSeed = 9110;
+  auto run = [&](bool background) {
+    ScopedCryptoFastPath mode(background);
+    auto opts = RobustOptions();
+    opts.fault_plan = FullFaultMatrix(kSeed);
+    auto w = MakeNetWorld(3, 12, kSeed, opts);
+    EXPECT_TRUE(w->net->Start());
+    w->sim.RunUntil(45 * kSecond);
+    return w;
+  };
+  auto pool = run(true);
+  auto inline_run = run(false);
+  ASSERT_GT(pool->net->rounds_completed(), 10u);
+  EXPECT_EQ(pool->net->server_restarts(), 1u);
+  EXPECT_EQ(pool->net->round_cleartexts(), inline_run->net->round_cleartexts());
+  EXPECT_EQ(pool->net->retransmits(), inline_run->net->retransmits());
+  for (size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(pool->net->server_engine(j).SerializeSnapshot(),
+              inline_run->net->server_engine(j).SerializeSnapshot())
+        << "server " << j;
   }
 }
 

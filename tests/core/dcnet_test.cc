@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/multiexp.h"
 #include "src/util/rng.h"
+#include "tests/core/park_pool.h"
 
 namespace dissent {
 namespace {
@@ -209,6 +211,68 @@ TEST(DcnetTest, PadBitMatchesPadBytesDeepOffsets) {
   Bytes pad = DcnetPad(key, 13, 16384);
   for (size_t bit = 0; bit < 16384 * 8; bit += 4099) {
     EXPECT_EQ(DcnetPadBit(key, 13, bit), GetBit(pad, bit)) << "bit " << bit;
+  }
+}
+
+// XOR of PAD(keys[i], round) over `indices`, one key at a time.
+Bytes SerialPads(const std::vector<Bytes>& keys, const std::vector<uint32_t>& indices,
+                 uint64_t round, size_t len) {
+  Bytes out(len, 0);
+  for (uint32_t i : indices) {
+    XorDcnetPad(keys[i], round, out);
+  }
+  return out;
+}
+
+TEST(DcnetTest, CompositePadJobMatchesSerialPadsOnPoolAndInline) {
+  // Below and above the fan-out threshold, on the pool and inline (fast
+  // path off: nothing is posted, Take runs the job on the caller).
+  for (size_t clients : {size_t{12}, kParallelPadKeys + 7}) {
+    std::vector<Bytes> keys(clients);
+    std::vector<uint32_t> every;
+    for (size_t i = 0; i < clients; ++i) {
+      keys[i] = KeyOf(i, 21);
+      every.push_back(static_cast<uint32_t>(i));
+    }
+    auto expander = std::make_shared<const PadExpander>(keys);
+    const std::vector<uint32_t> subset = {0, 3, 4, 9, 11};
+    for (bool fast : {true, false}) {
+      ScopedCryptoFastPath mode(fast);
+      for (size_t len : {1u, 4097u, 100000u}) {
+        for (const std::vector<uint32_t>& set : {every, subset}) {
+          CompositePadJob job(expander, set, 31, len, Bytes(7, 0xee));
+          EXPECT_EQ(job.length(), len);
+          EXPECT_EQ(job.expected(), set);
+          EXPECT_EQ(job.Take(), SerialPads(keys, set, 31, len))
+              << clients << " clients, " << len << " bytes, fast=" << fast;
+        }
+      }
+      CompositePadJob empty(expander, {}, 31, 64, Bytes{});
+      EXPECT_EQ(empty.Take(), Bytes(64, 0));
+    }
+  }
+}
+
+TEST(DcnetTest, CompositePadJobDroppedBeforeItRunsIsCanceled) {
+  // Dropping a queued job (a server destroyed or a slot reused before any
+  // worker reached it) must cancel it: under ASan the released workers
+  // touch no freed state, and the expander it shared is freed exactly once.
+  std::vector<Bytes> keys = {KeyOf(1, 5), KeyOf(2, 5)};
+  {
+    ParkedPool parked;
+    auto expander = std::make_shared<const PadExpander>(keys);
+    auto job = std::make_unique<CompositePadJob>(expander, std::vector<uint32_t>{0, 1}, 3,
+                                                 100000, Bytes{});
+    std::weak_ptr<const PadExpander> watch = expander;
+    expander.reset();
+    job.reset();
+    EXPECT_TRUE(watch.expired()) << "a canceled job must release what it captured";
+  }
+  // Dropped while (possibly) running: the worker finishes into state only it
+  // still owns.
+  for (int rep = 0; rep < 20; ++rep) {
+    auto expander = std::make_shared<const PadExpander>(keys);
+    CompositePadJob(expander, {0, 1}, 4, 65536, Bytes{});
   }
 }
 

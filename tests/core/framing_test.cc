@@ -1,8 +1,13 @@
-// Slot payload framing (OAEP-style padding) and slot-schedule evolution.
+// Slot payload framing (OAEP-style padding), slot-schedule evolution, and
+// the one-buffer TCP framing of wire messages.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "src/core/cleartext.h"
 #include "src/core/slot_schedule.h"
+#include "src/core/wire.h"
+#include "src/net/framing.h"
 
 namespace dissent {
 namespace {
@@ -155,6 +160,29 @@ TEST(SlotScheduleTest, ResizeRequestIsClamped) {
   std::copy(region->begin(), region->end(), ct.begin() + s.SlotOffset(0));
   s.Advance(ct);
   EXPECT_EQ(s.slot_length(0), SlotOverheadBytes());
+}
+
+// One default-constructed message of every WireMessage alternative.
+template <size_t... I>
+std::vector<WireMessage> EveryWireType(std::index_sequence<I...>) {
+  return {WireMessage(std::in_place_index<I>)...};
+}
+
+TEST(WireFramingTest, OneBufferFrameEqualsEncodeFrameOfSerializeWire) {
+  std::vector<WireMessage> msgs =
+      EveryWireType(std::make_index_sequence<std::variant_size_v<WireMessage>>{});
+  ASSERT_EQ(msgs.size(), std::variant_size_v<WireMessage>);
+  // Populated shapes of the frames that carry the bulk bytes.
+  msgs.push_back(wire::ClientSubmit{7, 3, Bytes(131072, 0x5a)});
+  msgs.push_back(wire::ServerCiphertext{7, 2, Bytes(4099, 0xc3)});
+  msgs.push_back(wire::Output{9, Bytes(70000, 0x11), {Bytes(64, 1), Bytes(64, 2)}});
+  msgs.push_back(wire::Reliable{5, 1, 2, SerializeWire(wire::ClientSubmit{7, 3, Bytes(300, 9)})});
+  msgs.push_back(wire::RoundSummary{4, false, Bytes(1000, 3), {Bytes(64, 4)}, 6});
+  for (const WireMessage& m : msgs) {
+    const auto framed = net::FrameWire(m);
+    ASSERT_NE(framed, nullptr);
+    EXPECT_EQ(*framed, net::EncodeFrame(SerializeWire(m))) << WireTypeName(m);
+  }
 }
 
 }  // namespace
