@@ -8,20 +8,18 @@
 // BM_ProtocolScale: the paper-scale cases (§5.2) — 1,000 and 5,000 clients
 // multiplexed 50-per-machine onto DeterLab-style hosts with shared 100 Mbps
 // NICs, every 5th client posting 64-byte microblog messages. Args are
-// {clients, mode}:
-//   mode 0  per-client Output frames (the pre-batching per-message path,
-//           kept for apples-to-apples comparison),
+// {clients, mode}; mode ids stay stable across recorded runs (0, the
+// per-client Output frame path, is retired):
 //   mode 1  shared-payload broadcast (one ref-counted frame per attached
 //           machine, parsed once per frame),
 //   mode 2  mode 1 on the heavy-tailed PlanetLab submission model (§5.1
 //           lognormal body + Pareto tail + dropouts) with the adaptive
 //           submission window absorbing the stragglers.
-//   mode 3  mode 1 with REAL scheduling: the full §3.10 verified key-shuffle
-//           cascade (prove + verify at every server) runs through the
-//           multi-exponentiation engine instead of the direct slot
-//           assignment the scale benches used to need; the cascade's wall
-//           cost is reported as scheduling_seconds. Direct modes 0-2 are
-//           kept as comparison columns.
+//   mode 3  mode 1 with REAL scheduling: the engines' §3.10 verified
+//           key-shuffle sub-phase (every server proves its layer and
+//           verifies every sibling's) runs through the multi-exponentiation
+//           engine instead of the direct slot assignment the scale benches
+//           used to need; its wall cost is reported as scheduling_seconds.
 // Each benchmark iteration advances the simulation by one completed round,
 // so real_time per iteration is the wall cost of simulating one round.
 // Counters: rounds_per_sim_sec (deterministic: discrete-event sim),
@@ -85,7 +83,7 @@ ProtocolSim* GetSim(size_t depth) {
 }
 
 // Paper-scale topologies: built once per (clients, mode); evidence retention
-// is off so the data path is strictly O(L) per round. Modes 0-2 skip the
+// is off so the data path is strictly O(L) per round. Modes 1-2 skip the
 // verified shuffle (direct slot assignment); mode 3 runs the real cascade
 // through the multi-exp engine — what used to dwarf the rounds under test
 // now costs seconds at 1,000 clients.
@@ -106,7 +104,6 @@ ProtocolSim* GetScaleSim(size_t clients, int mode) {
   options.server_link = {.latency = 10 * kMillisecond, .bandwidth_bps = 0};
   options.direct_scheduling = mode != 3;
   options.evidence_rounds = 0;
-  options.shared_broadcast = mode != 0;
   if (mode == 2) {
     options.submit_delay = PlanetLabDelayModel{};
   }
@@ -272,11 +269,9 @@ void BM_ProtocolScale(benchmark::State& state) {
   state.counters["scheduling_seconds"] = ps->net->scheduling_seconds();
 }
 BENCHMARK(BM_ProtocolScale)
-    ->Args({1000, 0})
     ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 3})
-    ->Args({5000, 0})
     ->Args({5000, 1})
     ->Iterations(10)
     ->Unit(benchmark::kSecond)

@@ -118,7 +118,6 @@ fi
 
 seq_rps="$(jq '[.benchmarks[] | select(.name | contains("ProtocolRounds/1/")) | .rounds_per_sim_sec] | first' "$protocol_out")"
 pipe_rps="$(jq '[.benchmarks[] | select(.name | contains("ProtocolRounds/2/")) | .rounds_per_sim_sec] | first' "$protocol_out")"
-legacy_1k="$(jq '[.benchmarks[] | select(.name | contains("ProtocolScale/1000/0")) | .rounds_per_sim_sec] | first' "$protocol_out")"
 shared_1k="$(jq '[.benchmarks[] | select(.name | contains("ProtocolScale/1000/1")) | .rounds_per_sim_sec] | first' "$protocol_out")"
 real_1k="$(jq '[.benchmarks[] | select(.name | contains("ProtocolScale/1000/3")) | .rounds_per_sim_sec] | first' "$protocol_out")"
 real_1k_sched="$(jq '[.benchmarks[] | select(.name | contains("ProtocolScale/1000/3")) | .scheduling_seconds] | first' "$protocol_out")"
@@ -133,7 +132,7 @@ wall_rps="$(jq '[.benchmarks[] | select(.name | contains("SocketDeployment")) | 
 echo "wrote $protocol_out ($flavor)"
 echo "  real sockets (5 servers + 100 client procs): ${wall_rps} wall-clock rounds/sec"
 echo "  100 clients: sequential ${seq_rps} rounds/sim-s, pipelined-x2 ${pipe_rps}"
-echo "  1000 clients: per-message ${legacy_1k} rounds/sim-s, shared-broadcast ${shared_1k}"
+echo "  1000 clients: shared-broadcast ${shared_1k} rounds/sim-s"
 echo "  1000 clients + REAL verified shuffle: ${real_1k} rounds/sim-s (cascade setup ${real_1k_sched}s)"
 echo "  5000 clients: shared-broadcast ${shared_5k} rounds/sim-s"
 echo "  1000 clients + disruptor (§3.9 blame inline): ${disrupt_rps} rounds/sim-s, ${disrupt_blames} blame(s) resolved"

@@ -54,8 +54,6 @@ inline bool ParseDeployFlag(int argc, char** argv, int* i, DeployConfig* cfg) {
     cfg->host = v;
   } else if (FlagValue(argc, argv, i, "--base-port", &v)) {
     cfg->base_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  } else if (FlagValue(argc, argv, i, "--verify-cascade", &v)) {
-    cfg->verify_cascade = v != "0";
   } else if (FlagValue(argc, argv, i, "--abort-deadline-ms", &v)) {
     cfg->abort_deadline_us = std::strtoll(v.c_str(), nullptr, 10) * 1000;
   } else if (FlagValue(argc, argv, i, "--abort-agreement", &v)) {

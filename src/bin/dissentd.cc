@@ -1,14 +1,15 @@
 // dissentd: one Dissent server over real TCP sockets.
 //
-// Listens on base_port + index for sibling and client-host connections, runs
-// the distributed key shuffle, then drives a ServerEngine until killed.
+// Listens on base_port + index for sibling and client-host connections and
+// drives a ServerEngine — the distributed key shuffle, then rounds — until
+// killed.
 //
-// Crash discipline: SIGTERM/SIGINT snapshot the full session (pseudonym keys
-// + engine state, PR 6) to --snapshot via tmp+rename, then exit 0. On
-// startup, an existing non-empty snapshot file short-circuits the scheduling
-// phase and resumes the session — kill -TERM + relaunch with identical flags
-// is the supported restart path, and the ReliableMailbox heals the frames
-// the dead incarnation lost.
+// Crash discipline: SIGTERM/SIGINT snapshot the full session (the engine
+// state, pseudonym keys or scheduling progress included) to --snapshot via
+// tmp+rename, then exit 0. On startup, an existing non-empty snapshot file
+// resumes that session instead of starting one — kill -TERM + relaunch with
+// identical flags is the supported restart path, and the ReliableMailbox
+// heals the frames the dead incarnation lost.
 //
 // Observability: --log appends "<round> <hex-cleartext>" per finished round
 // (the harness's byte-identity input); --stats rewrites a small JSON blob

@@ -11,16 +11,24 @@ namespace dissent {
 
 Coordinator::Coordinator(GroupDef def, std::vector<BigInt> server_privs,
                          std::vector<BigInt> client_privs, uint64_t seed)
-    : def_(std::move(def)), rng_(SecureRng::FromLabel(seed)) {
+    : def_(std::move(def)) {
   assert(server_privs.size() == def_.num_servers());
   assert(client_privs.size() == def_.num_clients());
+  SecureRng rng = SecureRng::FromLabel(seed);
   for (size_t i = 0; i < client_privs.size(); ++i) {
-    clients_.push_back(
-        std::make_unique<DissentClient>(def_, i, client_privs[i], rng_.Fork()));
+    clients_.push_back(std::make_unique<DissentClient>(def_, i, client_privs[i], rng.Fork()));
   }
   for (size_t j = 0; j < server_privs.size(); ++j) {
-    servers_.push_back(
-        std::make_unique<DissentServer>(def_, j, server_privs[j], rng_.Fork()));
+    servers_.push_back(std::make_unique<DissentServer>(def_, j, server_privs[j], rng.Fork()));
+  }
+  // Scheduling rngs fork after the logic rngs, clients first — the order of
+  // net::DeployNodeRng — so a seed yields the same key shuffle on every
+  // transport.
+  for (size_t i = 0; i < client_privs.size(); ++i) {
+    client_sched_rngs_.push_back(rng.Fork());
+  }
+  for (size_t j = 0; j < server_privs.size(); ++j) {
+    server_sched_rngs_.push_back(rng.Fork());
   }
   server_privs_ = std::move(server_privs);
   online_.assign(clients_.size(), true);
@@ -48,8 +56,8 @@ void Coordinator::BuildEngines() {
   server_engines_.clear();
   client_engines_.clear();
   for (size_t j = 0; j < servers_.size(); ++j) {
-    server_engines_.push_back(
-        std::make_unique<ServerEngine>(servers_[j].get(), def_, ServerConfigFor(j)));
+    server_engines_.push_back(std::make_unique<ServerEngine>(
+        servers_[j].get(), def_, ServerConfigFor(j), server_sched_rngs_[j]));
   }
   for (size_t i = 0; i < clients_.size(); ++i) {
     ClientEngine::Config cfg;
@@ -61,7 +69,7 @@ void Coordinator::BuildEngines() {
     cfg.reliability = reliability_;
     cfg.resync_timeout_us = resync_timeout_us_;
     client_engines_.push_back(
-        std::make_unique<ClientEngine>(clients_[i].get(), def_, cfg));
+        std::make_unique<ClientEngine>(clients_[i].get(), def_, cfg, client_sched_rngs_[i]));
   }
 }
 
@@ -80,13 +88,12 @@ void Coordinator::RestartServer(size_t j, const Bytes& snapshot) {
                                }),
                 timers_.end());
   std::make_heap(timers_.begin(), timers_.end(), TimerLater());
-  // Fresh logic + engine, keys reinstalled, then resume from the snapshot
-  // (RestoreState reseeds the logic's rng from the state bytes).
+  // Fresh logic + engine, then resume from the snapshot (it carries the
+  // keys; RestoreState reseeds the logic's rng from the state bytes).
   servers_[j] = std::make_unique<DissentServer>(def_, j, server_privs_[j],
                                                 SecureRng::FromLabel(0x52455354u ^ j));
-  servers_[j]->SetPseudonymKeys(pseudonym_keys_);
-  servers_[j]->BeginSlots(pseudonym_keys_.size());
-  server_engines_[j] = std::make_unique<ServerEngine>(servers_[j].get(), def_, ServerConfigFor(j));
+  server_engines_[j] = std::make_unique<ServerEngine>(servers_[j].get(), def_,
+                                                      ServerConfigFor(j), server_sched_rngs_[j]);
   auto actions = server_engines_[j]->RestoreSnapshot(snapshot, vnow_);
   assert(actions.has_value());
   if (actions.has_value()) {
@@ -95,26 +102,45 @@ void Coordinator::RestartServer(size_t j, const Bytes& snapshot) {
 }
 
 bool Coordinator::RunScheduling() {
+  // The engines run the shuffle as their first sub-phase, over the same
+  // pump as rounds. Timers fire too (a client that missed the keys re-sends
+  // its row on its resync tick), up to the hard deadline.
   const auto sched_start = std::chrono::steady_clock::now();
-  // Clients submit encrypted pseudonym keys.
-  CiphertextMatrix submissions;
-  submissions.reserve(clients_.size());
-  for (auto& c : clients_) {
-    submissions.push_back(EncryptPseudonymKey(def_, c->pseudonym().pub, rng_));
+  for (size_t i = 0; i < client_engines_.size(); ++i) {
+    DispatchClientActions(i, client_engines_[i]->StartSession(vnow_));
   }
-  // Servers run the mix cascade; everyone verifies it.
-  ShuffleCascadeResult cascade = RunShuffleCascade(def_, server_privs_, submissions, rng_);
-  if (!VerifyShuffleCascade(def_, submissions, cascade)) {
-    return false;
+  for (size_t j = 0; j < server_engines_.size(); ++j) {
+    DispatchServerActions(j, server_engines_[j]->StartSession(vnow_));
+  }
+  while (!SchedulingDone()) {
+    if (!queue_.empty()) {
+      DeliverNextQueued();
+    } else if (!timers_.empty() && vnow_ < def_.policy.hard_deadline) {
+      FireEarliestTimer();
+    } else {
+      return false;  // stalled: a row or a verified step never arrived
+    }
   }
   scheduling_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
-  // The final b components are the pseudonym keys, in shuffled order.
-  pseudonym_keys_.clear();
-  for (const auto& row : cascade.final_rows) {
-    pseudonym_keys_.push_back(row[0].b);
+  blame_shuffle_seconds_ = 0;  // the shuffle rode the blame frames; not a blame phase
+  pseudonym_keys_ = servers_[0]->pseudonym_keys();
+  session_started_ = true;
+  return true;
+}
+
+bool Coordinator::SchedulingDone() const {
+  for (const auto& engine : server_engines_) {
+    if (!engine->session_live()) {
+      return false;
+    }
   }
-  return FinishScheduling();
+  for (const auto& c : clients_) {
+    if (!c->slot().has_value()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Coordinator::RunSchedulingDirect() {
@@ -137,19 +163,15 @@ bool Coordinator::RunSchedulingExternal(std::vector<BigInt> keys) {
 }
 
 bool Coordinator::FinishScheduling() {
-  // Each client locates its own key; that index is its slot (known only to
-  // the client in a real deployment; the coordinator stores the mapping for
-  // test assertions but never feeds it back into protocol logic).
-  slot_of_client_.assign(clients_.size(), 0);
+  // Each client locates its own key; that index is its slot.
   for (size_t i = 0; i < clients_.size(); ++i) {
     auto it = std::find(pseudonym_keys_.begin(), pseudonym_keys_.end(),
                         clients_[i]->pseudonym().pub);
     if (it == pseudonym_keys_.end()) {
       return false;
     }
-    size_t slot = static_cast<size_t>(it - pseudonym_keys_.begin());
-    slot_of_client_[i] = slot;
-    clients_[i]->AssignSlot(slot, pseudonym_keys_.size());
+    clients_[i]->AssignSlot(static_cast<size_t>(it - pseudonym_keys_.begin()),
+                            pseudonym_keys_.size());
   }
   for (auto& s : servers_) {
     s->BeginSlots(pseudonym_keys_.size());

@@ -55,9 +55,10 @@ class Coordinator {
   const GroupDef& def() const { return def_; }
 
   // --- scheduling (§3.10) ---
-  // Runs the verifiable key shuffle, verifies the cascade everywhere,
-  // assigns slots, and opens the engines' first round. Returns false if any
-  // proof fails.
+  // Runs the engines' scheduling sub-phase — the verifiable key shuffle,
+  // each mix step verified by every server — and returns once every server
+  // has installed the keys and opened round 1 and every client holds its
+  // slot. Returns false if that never happens (a failed proof stalls it).
   bool RunScheduling();
   // Skips the verified shuffle and assigns slot i to client i (the shuffle's
   // cost is cubic-ish in N and irrelevant to round-path behavior). For
@@ -71,7 +72,7 @@ class Coordinator {
   bool RunSchedulingExternal(std::vector<BigInt> keys);
   const std::vector<BigInt>& pseudonym_keys() const { return pseudonym_keys_; }
   // Wall-clock seconds RunScheduling spent in the verified cascade
-  // (prove + verify); 0 after RunSchedulingDirect.
+  // (prove + verify at every server); 0 after RunSchedulingDirect.
   double scheduling_seconds() const { return scheduling_seconds_; }
 
   // --- round execution ---
@@ -174,8 +175,9 @@ class Coordinator {
     }
   };
 
-  // Shared scheduling tail: locate slots from pseudonym_keys_, open round 1.
+  // Out-of-band scheduling tail: slots from pseudonym_keys_, open round 1.
   bool FinishScheduling();
+  bool SchedulingDone() const;
   ServerEngine::Config ServerConfigFor(size_t j) const;
   void BuildEngines();
 
@@ -187,7 +189,8 @@ class Coordinator {
   bool RoundResolved(uint64_t round) const;
 
   GroupDef def_;
-  SecureRng rng_;
+  std::vector<SecureRng> client_sched_rngs_;
+  std::vector<SecureRng> server_sched_rngs_;
   double scheduling_seconds_ = 0;
   std::vector<BigInt> server_privs_;
   std::vector<std::unique_ptr<DissentClient>> clients_;
@@ -200,7 +203,6 @@ class Coordinator {
   std::vector<std::vector<uint32_t>> attached_;  // per server: its clients
   std::vector<uint64_t> last_seen_round_;
   std::vector<BigInt> pseudonym_keys_;
-  std::vector<size_t> slot_of_client_;
   uint64_t next_round_ = 1;
   size_t last_participation_ = 0;
   std::map<uint64_t, RoundRecord> history_;

@@ -301,16 +301,26 @@ bool ReliableMailbox::RestoreFrom(Reader& r) {
 // ServerEngine
 // ---------------------------------------------------------------------------
 
-ServerEngine::ServerEngine(DissentServer* logic, const GroupDef& def, Config config)
+ServerEngine::ServerEngine(DissentServer* logic, const GroupDef& def, Config config,
+                           std::optional<SecureRng> sched_rng)
     : logic_(logic),
       def_(def),
       config_(std::move(config)),
       index_(logic->index()),
       num_servers_(def.num_servers()),
+      sched_rng_(std::move(sched_rng)),
       mailbox_(config_.reliability) {
   assert(config_.pipeline_depth == logic_->pipeline_depth());
   rounds_.resize(std::max<size_t>(config_.pipeline_depth, 1));
+  for (RoundState& st : rounds_) {
+    ClearGossip(st);  // a snapshot may precede round 1
+  }
   blame_width_ = MessageBlockWidth(def_, kAccusationBytes);
+  // Scheduling traffic can arrive before StartSession (a faster sibling's
+  // roster, an early row); the cascade is open to keep it.
+  if (NeedsScheduling()) {
+    OpenCascade(wire::kScheduleSession, 1);
+  }
 }
 
 size_t ServerEngine::inflight_rounds() const {
@@ -321,6 +331,14 @@ size_t ServerEngine::inflight_rounds() const {
   return n;
 }
 
+void ServerEngine::ClearGossip(RoundState& st) const {
+  st.inventories.assign(num_servers_, std::nullopt);
+  st.commits.assign(num_servers_, std::nullopt);
+  st.server_cts.assign(num_servers_, std::nullopt);
+  st.sigs.assign(num_servers_, std::nullopt);
+  st.reoffered.assign(num_servers_, false);
+}
+
 ServerEngine::RoundState* ServerEngine::FindRound(uint64_t round) {
   RoundState& st = rounds_[round % rounds_.size()];
   return st.active && st.round == round ? &st : nullptr;
@@ -328,8 +346,15 @@ ServerEngine::RoundState* ServerEngine::FindRound(uint64_t round) {
 
 ServerEngine::Actions ServerEngine::StartSession(int64_t now_us) {
   Actions a;
-  for (size_t k = 0; k < config_.pipeline_depth; ++k) {
-    StartRound(next_round_to_start_, now_us, a);
+  if (!NeedsScheduling()) {
+    // Keys installed out of band: the session is live at once.
+    cascade_ = Cascade{};
+    live_ = true;
+    for (size_t k = 0; k < config_.pipeline_depth; ++k) {
+      StartRound(next_round_to_start_, now_us, a);
+    }
+  } else {
+    MaybeCloseCollection(now_us, a);
   }
   Seal(a, now_us);
   return a;
@@ -353,11 +378,7 @@ void ServerEngine::StartRound(uint64_t round, int64_t now_us, Actions& a) {
   st.promised_abort = false;
   st.participation = 0;
   st.cleartext.clear();
-  st.inventories.assign(num_servers_, std::nullopt);
-  st.commits.assign(num_servers_, std::nullopt);
-  st.server_cts.assign(num_servers_, std::nullopt);
-  st.sigs.assign(num_servers_, std::nullopt);
-  st.reoffered.assign(num_servers_, false);
+  ClearGossip(st);
   a.timers.push_back({Token(round, kHardDeadline), config_.hard_deadline_us});
   if (config_.abort_deadline_us > 0) {
     a.timers.push_back({Token(round, kAbortDeadline), config_.abort_deadline_us});
@@ -570,8 +591,8 @@ ServerEngine::Actions ServerEngine::HandleTimer(uint64_t token, int64_t now_us) 
   if (kind == kBlameCollect) {
     // Collection backstop: proceed with whoever answered (offline clients
     // never will; §3.6 silence is indistinguishable from departure).
-    if (blame_.active && blame_.collecting && blame_.session == id) {
-      CloseBlameCollection(now_us, a);
+    if (blame_.active && blame_.session == id) {
+      MaybeCloseCollection(now_us, a, /*deadline=*/true);
     }
     Seal(a, now_us);
     return a;
@@ -1453,7 +1474,23 @@ bool ReadOptionalBlob(Reader& r, std::optional<Bytes>* v) {
   return true;
 }
 
-constexpr char kSnapshotMagic[] = "dissent.engine.snap.v1";
+// v2 added the scheduling sub-phase (keys, or the cascade so far); a v1
+// snapshot, whose transport reinstalled the keys, is refused.
+constexpr char kSnapshotMagic[] = "dissent.engine.snap.v2";
+
+// A roster (or this server's collected rows) as its canonical wire frame.
+Bytes RosterFrame(uint32_t server, std::vector<wire::BlameRosterEntry> entries) {
+  return SerializeWire(wire::BlameRoster{wire::kScheduleSession, server, std::move(entries)});
+}
+
+bool ParseRosterFrame(const Bytes& frame, std::vector<wire::BlameRosterEntry>* entries) {
+  auto parsed = ParseWire(frame);
+  if (!parsed.has_value() || !std::holds_alternative<wire::BlameRoster>(*parsed)) {
+    return false;
+  }
+  *entries = std::get<wire::BlameRoster>(std::move(*parsed)).entries;
+  return true;
+}
 
 }  // namespace
 
@@ -1544,6 +1581,29 @@ Bytes ServerEngine::SerializeSnapshot() const {
       w.Blob(es.second);
     }
   }
+  // Scheduling: the installed keys once live; before that the cascade so
+  // far (rows, rosters and mix steps — its matrix is re-derived on restore).
+  w.Bool(live_);
+  if (live_) {
+    w.U32(static_cast<uint32_t>(logic_->pseudonym_keys().size()));
+    for (const BigInt& k : logic_->pseudonym_keys()) {
+      w.Blob(def_.group->ElementToBytes(k));
+    }
+    return w.Take();
+  }
+  w.Bool(cascade_.collecting);
+  std::vector<wire::BlameRosterEntry> collected;
+  for (const auto& [client, row_sig] : cascade_.collected) {
+    collected.push_back({client, row_sig.first, row_sig.second});
+  }
+  w.Blob(RosterFrame(static_cast<uint32_t>(index_), std::move(collected)));
+  for (size_t j = 0; j < num_servers_; ++j) {
+    const auto& roster = cascade_.rosters[j];
+    WriteOptionalBlob(w, roster.has_value() ? std::optional<Bytes>(RosterFrame(
+                                                  static_cast<uint32_t>(j), *roster))
+                                            : std::nullopt);
+    WriteOptionalBlob(w, cascade_.mix_steps[j]);
+  }
   return w.Take();
 }
 
@@ -1586,11 +1646,7 @@ std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& 
     st.started_us = static_cast<int64_t>(started);
     st.window_close_at_us = static_cast<int64_t>(close_at);
     st.participation = part;
-    st.inventories.assign(num_servers_, std::nullopt);
-    st.commits.assign(num_servers_, std::nullopt);
-    st.server_cts.assign(num_servers_, std::nullopt);
-    st.sigs.assign(num_servers_, std::nullopt);
-    st.reoffered.assign(num_servers_, false);
+    ClearGossip(st);
     for (auto& inv : st.inventories) {
       bool present = false;
       if (!r.Bool(&present)) {
@@ -1713,6 +1769,54 @@ std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& 
       by_server[sid] = {epoch, std::move(sig)};
     }
   }
+  cascade_ = Cascade{};
+  if (!r.Bool(&live_)) {
+    return std::nullopt;
+  }
+  if (live_) {
+    uint32_t n_keys = 0;
+    if (!r.U32(&n_keys) || n_keys != def_.num_clients()) {
+      return std::nullopt;
+    }
+    std::vector<BigInt> keys;
+    keys.reserve(n_keys);
+    for (uint32_t i = 0; i < n_keys; ++i) {
+      Bytes kb;
+      std::optional<BigInt> k;
+      if (!r.Blob(&kb) || !(k = def_.group->ElementFromBytes(kb)).has_value()) {
+        return std::nullopt;
+      }
+      keys.push_back(std::move(*k));
+    }
+    logic_->SetPseudonymKeys(std::move(keys));
+  } else {
+    if (!sched_rng_.has_value()) {
+      return std::nullopt;  // mid-scheduling: our mix layer needs the rng
+    }
+    OpenCascade(wire::kScheduleSession, 1);
+    Bytes frame;
+    std::vector<wire::BlameRosterEntry> collected;
+    if (!r.Bool(&cascade_.collecting) || !r.Blob(&frame) ||
+        !ParseRosterFrame(frame, &collected)) {
+      return std::nullopt;
+    }
+    for (auto& e : collected) {
+      cascade_.collected.emplace(e.client_id,
+                                 std::make_pair(std::move(e.row), std::move(e.signature)));
+    }
+    for (size_t j = 0; j < num_servers_; ++j) {
+      std::optional<Bytes> roster;
+      if (!ReadOptionalBlob(r, &roster) || !ReadOptionalBlob(r, &cascade_.mix_steps[j])) {
+        return std::nullopt;
+      }
+      if (roster.has_value()) {
+        cascade_.rosters[j].emplace();
+        if (!ParseRosterFrame(*roster, &*cascade_.rosters[j])) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
   if (!r.AtEnd()) {
     return std::nullopt;
   }
@@ -1736,6 +1840,12 @@ std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& 
     }
   }
   retransmit_armed_ = false;
+  if (!live_) {
+    // Mid-scheduling: re-derive the cascade from the restored rosters and
+    // steps (re-verifying each), then carry on where the crash stopped it.
+    MaybeCloseCollection(now_us, a);
+    MaybeAssembleMatrix(now_us, a);
+  }
   MaybeStartBlame(now_us, a);
   // A snapshot can be arbitrarily stale relative to the fleet (every round
   // we missed was resolved without us, and reliable delivery acked our
@@ -1748,7 +1858,7 @@ std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& 
 }
 
 // ---------------------------------------------------------------------------
-// ServerEngine: blame sub-phase (§3.9)
+// ServerEngine: the shared mix cascade (scheduling §3.10, blame §3.9)
 // ---------------------------------------------------------------------------
 
 bool ServerEngine::IsAttached(uint32_t client) const {
@@ -1757,13 +1867,203 @@ bool ServerEngine::IsAttached(uint32_t client) const {
                             client);
 }
 
-size_t ServerEngine::ExpectedBlameSubmitters() const {
+size_t ServerEngine::ExpectedSubmitters() const {
   size_t expected = 0;
   for (uint32_t c : config_.attached_clients) {
     expected += logic_->IsExpelled(c) ? 0 : 1;
   }
   return expected;
 }
+
+void ServerEngine::OpenCascade(uint64_t session, size_t width) {
+  cascade_ = Cascade{};
+  cascade_.session = session;
+  cascade_.width = width;
+  cascade_.collecting = true;
+  cascade_.rosters.assign(num_servers_, std::nullopt);
+  cascade_.mix_steps.assign(num_servers_, std::nullopt);
+}
+
+void ServerEngine::HandleCascadeRow(const Peer& from, const wire::AccusationSubmit& row,
+                                    int64_t now_us, Actions& a) {
+  // Client rows are only ever meaningful to the upstream server of that
+  // client, and only while its cascade collects.
+  if (from.kind != Peer::Kind::kClient || from.index != row.client_id ||
+      !IsAttached(row.client_id) || logic_->IsExpelled(row.client_id)) {
+    return;
+  }
+  if (live_ && row.session == wire::kScheduleSession) {
+    // The client missed the SlotKeys broadcast (or re-sent its row): the
+    // one scheduling replay rule is to answer with the keys.
+    a.out.push_back({ClientPeer(row.client_id), SlotKeysMessage()});
+    return;
+  }
+  if (!cascade_.collecting || row.session != cascade_.session ||
+      cascade_.collected.count(row.client_id) != 0) {
+    return;  // not collecting this session, or a duplicate: first wins
+  }
+  // Cheap hostile-input gate: the serialized row has exactly one valid
+  // length (indistinguishability requires every submission the same size).
+  // Signature and element validity are checked at matrix assembly, once,
+  // identically on every server.
+  if (row.blame_ciphertext.size() != 4 + cascade_.width * 2 * def_.group->ElementBytes()) {
+    return;
+  }
+  cascade_.collected.emplace(row.client_id, std::make_pair(row.blame_ciphertext, row.signature));
+  MaybeCloseCollection(now_us, a);
+}
+
+void ServerEngine::MaybeCloseCollection(int64_t now_us, Actions& a, bool deadline) {
+  // Closes once every expected row is in; a blame instance also closes on
+  // its collection deadline (kBlameCollect), scheduling waits for all.
+  if (!cascade_.collecting || (!deadline && cascade_.collected.size() < ExpectedSubmitters())) {
+    return;
+  }
+  cascade_.collecting = false;
+  // std::map iterates in increasing client id: the roster is canonical.
+  std::vector<wire::BlameRosterEntry> roster;
+  roster.reserve(cascade_.collected.size());
+  for (const auto& [client, row_sig] : cascade_.collected) {
+    roster.push_back({client, row_sig.first, row_sig.second});
+  }
+  Broadcast(wire::BlameRoster{cascade_.session, static_cast<uint32_t>(index_), roster}, a);
+  cascade_.rosters[index_] = std::move(roster);
+  MaybeAssembleMatrix(now_us, a);
+}
+
+void ServerEngine::MaybeAssembleMatrix(int64_t now_us, Actions& a) {
+  if (cascade_.mixing || cascade_.collecting) {
+    return;
+  }
+  for (const auto& r : cascade_.rosters) {
+    if (!r.has_value()) {
+      return;  // still gathering
+    }
+  }
+  // Merge in server order, first server wins a contested client id. Every
+  // entry must carry a valid client signature over (session, id, row) —
+  // without this, a lower-indexed malicious server could substitute its own
+  // row for a client attached elsewhere (choosing that client's scheduling
+  // key, or shadowing a victim's genuine accusation with a forged filler).
+  // Signatures, element validity, and ordering are checked identically on
+  // every server, so all honest servers compute the identical
+  // client-id-sorted input matrix. Each accepted row is parsed exactly once.
+  std::map<uint32_t, std::vector<ElGamalCiphertext>> merged;
+  for (const auto& roster : cascade_.rosters) {
+    for (const auto& entry : *roster) {
+      if (entry.client_id >= def_.num_clients() || logic_->IsExpelled(entry.client_id) ||
+          merged.count(entry.client_id) != 0) {
+        continue;
+      }
+      auto sig = SchnorrSignature::Deserialize(*def_.group, entry.signature);
+      if (!sig.has_value() ||
+          !SchnorrVerify(*def_.group, def_.client_pubs[entry.client_id],
+                         BlameRowSigningBytes(cascade_.session, entry.client_id, entry.row),
+                         *sig)) {
+        continue;  // forged or corrupted: dropped identically everywhere
+      }
+      auto parsed = ParseCiphertextRow(*def_.group, entry.row, cascade_.width);
+      if (parsed.has_value()) {
+        merged.emplace(entry.client_id, std::move(*parsed));
+      }
+    }
+  }
+  CiphertextMatrix matrix;
+  matrix.reserve(merged.size());
+  for (auto& [client, row] : merged) {
+    matrix.push_back(std::move(row));
+  }
+  if (cascade_.session == wire::kScheduleSession) {
+    if (matrix.size() != def_.num_clients()) {
+      return;  // every client needs a slot: without all rows, no keys
+    }
+  } else if (matrix.size() < 2) {
+    // Nothing to shuffle anonymously over: no conclusive blame possible.
+    FinishBlame(wire::BlameVerdict::kInconclusive, 0, now_us, a);
+    return;
+  }
+  cascade_.mixing = true;
+  cascade_.matrix = std::move(matrix);
+  cascade_.steps_verified = 0;
+  TryAdvanceCascade(now_us, a);
+}
+
+void ServerEngine::TryAdvanceCascade(int64_t now_us, Actions& a) {
+  if (!cascade_.mixing) {
+    return;
+  }
+  const bool scheduling = cascade_.session == wire::kScheduleSession;
+  while (cascade_.steps_verified < num_servers_) {
+    const size_t j = cascade_.steps_verified;
+    if (j == index_ && !cascade_.mix_steps[index_].has_value()) {
+      // Our turn in the cascade: apply our verified mix layer.
+      MixStep step = logic_->MixLayer(cascade_.matrix, scheduling ? &*sched_rng_ : nullptr);
+      Bytes serialized = SerializeMixStep(*def_.group, step);
+      Broadcast(wire::BlameMix{cascade_.session, static_cast<uint32_t>(index_), serialized}, a);
+      cascade_.mix_steps[index_] = std::move(serialized);
+      cascade_.matrix = std::move(step.decrypted);
+      ++cascade_.steps_verified;
+      continue;
+    }
+    if (!cascade_.mix_steps[j].has_value()) {
+      return;  // waiting for server j's layer
+    }
+    // A sibling's layer, or our own re-applied after a snapshot restore.
+    auto step = ParseMixStep(*def_.group, *cascade_.mix_steps[j]);
+    if (!step.has_value() || !VerifyMixStep(def_, j, cascade_.matrix, *step)) {
+      if (scheduling) {
+        // Decide nothing: drop the step and wait for an honest one.
+        cascade_.mix_steps[j].reset();
+        rejected_mix_steps_.push_back(static_cast<uint32_t>(j));
+        return;
+      }
+      // The §3.10 proofs identify the cheating mixer outright.
+      FinishBlame(wire::BlameVerdict::kServerExposed, static_cast<uint32_t>(j), now_us, a);
+      return;
+    }
+    cascade_.matrix = std::move(step->decrypted);
+    ++cascade_.steps_verified;
+  }
+  if (scheduling) {
+    FinishScheduling(now_us, a);
+    return;
+  }
+  blame_.shuffle_ran = true;
+  DecodeBlameAccusation(now_us, a);
+}
+
+void ServerEngine::FinishScheduling(int64_t now_us, Actions& a) {
+  // The final b components are the pseudonym keys, in shuffled order.
+  std::vector<BigInt> keys;
+  keys.reserve(cascade_.matrix.size());
+  for (const auto& row : cascade_.matrix) {
+    keys.push_back(row[0].b);
+  }
+  logic_->SetPseudonymKeys(std::move(keys));
+  logic_->BeginSlots(def_.num_clients());
+  cascade_ = Cascade{};
+  live_ = true;
+  // One frame for the whole attachment set, like Output.
+  if (!config_.attached_clients.empty()) {
+    a.out.push_back({AttachedClientsPeer(static_cast<uint32_t>(index_)), SlotKeysMessage()});
+  }
+  for (size_t k = 0; k < config_.pipeline_depth; ++k) {
+    StartRound(next_round_to_start_, now_us, a);
+  }
+}
+
+std::shared_ptr<const WireMessage> ServerEngine::SlotKeysMessage() const {
+  wire::SlotKeys msg;
+  msg.keys.reserve(logic_->pseudonym_keys().size());
+  for (const BigInt& k : logic_->pseudonym_keys()) {
+    msg.keys.push_back(def_.group->ElementToBytes(k));
+  }
+  return std::make_shared<const WireMessage>(std::move(msg));
+}
+
+// ---------------------------------------------------------------------------
+// ServerEngine: blame sub-phase (§3.9)
+// ---------------------------------------------------------------------------
 
 void ServerEngine::MaybeStartBlame(int64_t now_us, Actions& a) {
   if (!blame_.pending || blame_.active || inflight_rounds() != 0) {
@@ -1774,9 +2074,7 @@ void ServerEngine::MaybeStartBlame(int64_t now_us, Actions& a) {
   // certified cleartexts) and identical open-round frontiers.
   blame_.pending = false;
   blame_.active = true;
-  blame_.collecting = true;
-  blame_.rosters.assign(num_servers_, std::nullopt);
-  blame_.mix_steps.assign(num_servers_, std::nullopt);
+  OpenCascade(blame_.session, blame_width_);
   blame_.disclosures.assign(num_servers_, std::nullopt);
   blame_.shares.assign(num_servers_, std::nullopt);
   if (!config_.attached_clients.empty()) {
@@ -1787,9 +2085,7 @@ void ServerEngine::MaybeStartBlame(int64_t now_us, Actions& a) {
   // Replay server gossip that outpaced our drain.
   auto early = std::move(blame_early_);
   blame_early_.clear();
-  if (ExpectedBlameSubmitters() == 0) {
-    CloseBlameCollection(now_us, a);
-  }
+  MaybeCloseCollection(now_us, a);
   for (auto& [sender, msg] : early) {
     if (BlameSessionOf(msg) == blame_.session) {
       HandleBlameMessage(ServerPeer(sender), msg, now_us, a);
@@ -1820,34 +2116,8 @@ void ServerEngine::BufferEarlyBlame(uint32_t sender, const WireMessage& msg) {
 
 void ServerEngine::HandleBlameMessage(const Peer& from, const WireMessage& msg, int64_t now_us,
                                       Actions& a) {
-  // Client-originated blame traffic is only ever meaningful to the upstream
-  // server of that client, and only inside an active instance.
-  if (const auto* submit = std::get_if<wire::AccusationSubmit>(&msg)) {
-    if (from.kind != Peer::Kind::kClient || from.index != submit->client_id) {
-      return;
-    }
-    if (!blame_.active || !blame_.collecting || submit->session != blame_.session) {
-      return;
-    }
-    if (!IsAttached(submit->client_id) || logic_->IsExpelled(submit->client_id)) {
-      return;
-    }
-    if (blame_.collected.count(submit->client_id) != 0) {
-      return;  // duplicate: first wins
-    }
-    // Cheap hostile-input gate: the serialized row has exactly one valid
-    // length (indistinguishability requires every submission the same
-    // size). Signature and element validity are checked at matrix assembly,
-    // once, identically on every server.
-    const size_t expected_len = 4 + blame_width_ * 2 * def_.group->ElementBytes();
-    if (submit->blame_ciphertext.size() != expected_len) {
-      return;
-    }
-    blame_.collected.emplace(submit->client_id,
-                             std::make_pair(submit->blame_ciphertext, submit->signature));
-    if (blame_.collected.size() >= ExpectedBlameSubmitters()) {
-      CloseBlameCollection(now_us, a);
-    }
+  if (const auto* row = std::get_if<wire::AccusationSubmit>(&msg)) {
+    HandleCascadeRow(from, *row, now_us, a);
     return;
   }
   if (const auto* rebuttal = std::get_if<wire::BlameRebuttal>(&msg)) {
@@ -1858,23 +2128,34 @@ void ServerEngine::HandleBlameMessage(const Peer& from, const WireMessage& msg, 
   if (from.kind != Peer::Kind::kServer || from.index >= num_servers_ || from.index == index_) {
     return;
   }
-  if (!blame_.active || BlameSessionOf(msg) != blame_.session) {
+  const uint64_t session = BlameSessionOf(msg);
+  const auto* roster = std::get_if<wire::BlameRoster>(&msg);
+  const auto* mix = std::get_if<wire::BlameMix>(&msg);
+  if (roster != nullptr || mix != nullptr) {
+    if (cascade_.rosters.empty() || session != cascade_.session) {
+      BufferEarlyBlame(from.index, msg);
+      return;
+    }
+    if (roster != nullptr) {
+      if (roster->server_id != from.index || cascade_.rosters[from.index].has_value()) {
+        return;
+      }
+      cascade_.rosters[from.index] = roster->entries;
+      MaybeAssembleMatrix(now_us, a);
+    } else {
+      if (mix->server_id != from.index || cascade_.mix_steps[from.index].has_value()) {
+        return;
+      }
+      cascade_.mix_steps[from.index] = mix->step;
+      TryAdvanceCascade(now_us, a);
+    }
+    return;
+  }
+  if (!blame_.active || session != blame_.session) {
     BufferEarlyBlame(from.index, msg);
     return;
   }
-  if (const auto* roster = std::get_if<wire::BlameRoster>(&msg)) {
-    if (roster->server_id != from.index || blame_.rosters[from.index].has_value()) {
-      return;
-    }
-    blame_.rosters[from.index] = roster->entries;
-    MaybeAssembleBlameMatrix(now_us, a);
-  } else if (const auto* mix = std::get_if<wire::BlameMix>(&msg)) {
-    if (mix->server_id != from.index || blame_.mix_steps[from.index].has_value()) {
-      return;
-    }
-    blame_.mix_steps[from.index] = mix->step;
-    TryAdvanceCascade(now_us, a);
-  } else if (const auto* ev = std::get_if<wire::TraceEvidence>(&msg)) {
+  if (const auto* ev = std::get_if<wire::TraceEvidence>(&msg)) {
     if (ev->server_id != from.index || blame_.disclosures[from.index].has_value()) {
       return;
     }
@@ -1901,116 +2182,13 @@ void ServerEngine::HandleVerdictShare(const wire::VerdictShare& share, const Pee
   MaybeAgreeVerdict(now_us, a);
 }
 
-void ServerEngine::CloseBlameCollection(int64_t now_us, Actions& a) {
-  blame_.collecting = false;
-  // std::map iterates in increasing client id: the roster is canonical.
-  std::vector<wire::BlameRosterEntry> roster;
-  roster.reserve(blame_.collected.size());
-  for (const auto& [client, row_sig] : blame_.collected) {
-    roster.push_back({client, row_sig.first, row_sig.second});
-  }
-  Broadcast(wire::BlameRoster{blame_.session, static_cast<uint32_t>(index_), roster}, a);
-  blame_.rosters[index_] = std::move(roster);
-  MaybeAssembleBlameMatrix(now_us, a);
-}
-
-void ServerEngine::MaybeAssembleBlameMatrix(int64_t now_us, Actions& a) {
-  if (blame_.mixing || blame_.collecting) {
-    return;
-  }
-  for (const auto& r : blame_.rosters) {
-    if (!r.has_value()) {
-      return;  // still gathering
-    }
-  }
-  // Merge in server order, first server wins a contested client id. Every
-  // entry must carry a valid client signature over (session, id, row) —
-  // without this, a lower-indexed malicious server could shadow a victim's
-  // genuine accusation row with a forged filler and render every blame
-  // instance inconclusive. Signatures, element validity, and ordering are
-  // checked identically on every server, so all honest servers compute the
-  // identical client-id-sorted input matrix. Each accepted row is parsed
-  // exactly once.
-  std::map<uint32_t, std::vector<ElGamalCiphertext>> merged;
-  for (const auto& roster : blame_.rosters) {
-    for (const auto& entry : *roster) {
-      if (entry.client_id >= def_.num_clients() || logic_->IsExpelled(entry.client_id) ||
-          merged.count(entry.client_id) != 0) {
-        continue;
-      }
-      auto sig = SchnorrSignature::Deserialize(*def_.group, entry.signature);
-      if (!sig.has_value() ||
-          !SchnorrVerify(*def_.group, def_.client_pubs[entry.client_id],
-                         BlameRowSigningBytes(blame_.session, entry.client_id, entry.row),
-                         *sig)) {
-        continue;  // forged or corrupted: dropped identically everywhere
-      }
-      auto parsed = ParseCiphertextRow(*def_.group, entry.row, blame_width_);
-      if (parsed.has_value()) {
-        merged.emplace(entry.client_id, std::move(*parsed));
-      }
-    }
-  }
-  CiphertextMatrix matrix;
-  matrix.reserve(merged.size());
-  for (auto& [client, row] : merged) {
-    matrix.push_back(std::move(row));
-  }
-  if (matrix.size() < 2) {
-    // Nothing to shuffle anonymously over: no conclusive blame possible.
-    FinishBlame(wire::BlameVerdict::kInconclusive, 0, now_us, a);
-    return;
-  }
-  blame_.mixing = true;
-  blame_.cascade = std::move(matrix);
-  blame_.steps_verified = 0;
-  TryAdvanceCascade(now_us, a);
-}
-
-void ServerEngine::TryAdvanceCascade(int64_t now_us, Actions& a) {
-  if (!blame_.mixing) {
-    return;
-  }
-  while (blame_.steps_verified < num_servers_) {
-    const size_t j = blame_.steps_verified;
-    if (j == index_ && !blame_.own_step_sent) {
-      // Our turn in the cascade: apply our verified mix layer.
-      MixStep step = logic_->BlameMixStep(blame_.cascade);
-      Bytes serialized = SerializeMixStep(*def_.group, step);
-      Broadcast(wire::BlameMix{blame_.session, static_cast<uint32_t>(index_), serialized}, a);
-      blame_.mix_steps[index_] = std::move(serialized);
-      blame_.own_step_sent = true;
-      blame_.cascade = std::move(step.decrypted);
-      ++blame_.steps_verified;
-      continue;
-    }
-    if (!blame_.mix_steps[j].has_value()) {
-      return;  // waiting for server j's layer
-    }
-    if (j == index_) {
-      ++blame_.steps_verified;  // own step, already applied
-      continue;
-    }
-    auto step = ParseMixStep(*def_.group, *blame_.mix_steps[j]);
-    if (!step.has_value() || !VerifyMixStep(def_, j, blame_.cascade, *step)) {
-      // The §3.10 proofs identify the cheating mixer outright.
-      FinishBlame(wire::BlameVerdict::kServerExposed, static_cast<uint32_t>(j), now_us, a);
-      return;
-    }
-    blame_.cascade = std::move(step->decrypted);
-    ++blame_.steps_verified;
-  }
-  blame_.shuffle_ran = true;
-  DecodeBlameAccusation(now_us, a);
-}
-
 void ServerEngine::DecodeBlameAccusation(int64_t now_us, Actions& a) {
   // The cascade's final rows are plaintext blocks: recover the real
   // accusations among the zero fillers. The instance traces the first row
   // that both decodes AND validates against the retained evidence — a
   // hostile client shipping a well-formed-but-invalid accusation must not
   // be able to shadow a genuine victim's row into an inconclusive verdict.
-  for (const auto& row : blame_.cascade) {
+  for (const auto& row : cascade_.matrix) {
     auto payload = DecodeMessageBlocks(def_, row);
     if (!payload.has_value()) {
       continue;
@@ -2322,6 +2500,7 @@ void ServerEngine::ConcludeBlame(uint8_t kind, uint32_t culprit, bool agreed, in
   }
   ++blames_completed_;
   blame_ = BlameState{};
+  cascade_ = Cascade{};
   blame_early_.clear();
   // Resume the pipeline: reopen a full window of rounds.
   for (size_t k = 0; k < config_.pipeline_depth; ++k) {
@@ -2333,16 +2512,23 @@ void ServerEngine::ConcludeBlame(uint8_t kind, uint32_t culprit, bool agreed, in
 // ClientEngine
 // ---------------------------------------------------------------------------
 
-ClientEngine::ClientEngine(DissentClient* logic, const GroupDef& def, Config config)
-    : logic_(logic), def_(def), config_(config), mailbox_(config_.reliability) {
+ClientEngine::ClientEngine(DissentClient* logic, const GroupDef& def, Config config,
+                           std::optional<SecureRng> sched_rng)
+    : logic_(logic),
+      def_(def),
+      config_(config),
+      sched_rng_(std::move(sched_rng)),
+      mailbox_(config_.reliability) {
   assert(config_.pipeline_depth == logic_->pipeline_depth());
 }
 
 ClientEngine::Actions ClientEngine::StartSession(int64_t now_us) {
   Actions a;
   last_progress_us_ = now_us;
-  for (uint64_t r = 1; r <= config_.pipeline_depth; ++r) {
-    Submit(r, a);
+  if (sched_rng_.has_value() && !logic_->slot().has_value()) {
+    SendScheduleRow(a);
+  } else {
+    SubmitFirstRounds(a);
   }
   if (config_.resync_timeout_us > 0 && !resync_armed_) {
     resync_armed_ = true;
@@ -2394,6 +2580,47 @@ void ClientEngine::Submit(uint64_t round, Actions& a) {
     while (sent_submits_.size() > config_.pipeline_depth + 2) {
       sent_submits_.erase(sent_submits_.begin());
     }
+  }
+}
+
+void ClientEngine::SubmitFirstRounds(Actions& a) {
+  for (uint64_t r = 1; r <= config_.pipeline_depth; ++r) {
+    Submit(r, a);
+  }
+}
+
+void ClientEngine::SendScheduleRow(Actions& a) {
+  // The §3.10 submission: our pseudonym key encrypted once under the
+  // combined server key, signed like a blame row (deterministic nonce) so no
+  // server can substitute a key of its choosing for ours.
+  awaiting_keys_ = true;
+  wire::AccusationSubmit row;
+  row.session = wire::kScheduleSession;
+  row.client_id = static_cast<uint32_t>(logic_->index());
+  row.blame_ciphertext = SerializeCiphertextRow(
+      *def_.group, {EncryptPseudonymKey(def_, logic_->pseudonym().pub, *sched_rng_)});
+  row.signature = logic_->SignBlameRow(row.session, row.blame_ciphertext);
+  auto shared = std::make_shared<const WireMessage>(std::move(row));
+  a.out.push_back({ServerPeer(config_.upstream_server), shared});
+  if (config_.resync_timeout_us > 0) {
+    sent_submits_[0] = std::move(shared);  // re-sent on a stall until the keys come
+  }
+}
+
+void ClientEngine::AdoptSlotKeys(const wire::SlotKeys& msg, int64_t now_us, Actions& a) {
+  // Our slot is the position of our own pseudonym key (compared as its
+  // canonical fixed-width encoding).
+  const Bytes mine = def_.group->ElementToBytes(logic_->pseudonym().pub);
+  auto it = std::find(msg.keys.begin(), msg.keys.end(), mine);
+  if (msg.keys.size() != def_.num_clients() || it == msg.keys.end()) {
+    return;
+  }
+  logic_->AssignSlot(static_cast<size_t>(it - msg.keys.begin()), msg.keys.size());
+  awaiting_keys_ = false;
+  sent_submits_.erase(0);
+  last_progress_us_ = now_us;
+  if (config_.auto_submit) {
+    SubmitFirstRounds(a);
   }
 }
 
@@ -2569,6 +2796,12 @@ void ClientEngine::Dispatch(const Peer& from, const WireMessage& msg, int64_t no
                   summary->final_round, now_us, a);
       return;
     }
+    if (const auto* keys = std::get_if<wire::SlotKeys>(&msg)) {
+      if (awaiting_keys_) {
+        AdoptSlotKeys(*keys, now_us, a);
+      }
+      return;
+    }
   }
   const auto* output = std::get_if<wire::Output>(&msg);
   if (output == nullptr) {
@@ -2581,6 +2814,9 @@ void ClientEngine::Dispatch(const Peer& from, const WireMessage& msg, int64_t no
 void ClientEngine::IngestRound(uint64_t round, bool aborted, const Bytes& cleartext,
                                const std::vector<Bytes>& signatures, uint64_t final_round,
                                int64_t now_us, Actions& a) {
+  if (awaiting_keys_) {
+    return;  // no slot yet: the outputs of a session we have not joined
+  }
   // Remember the highest fleet frontier any summary has advertised — the
   // resync timer keeps requesting batches until we reach it.
   catchup_final_round_ = std::max(catchup_final_round_, final_round);

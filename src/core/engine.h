@@ -47,8 +47,8 @@
 // layouts, and the witness-bit scan of each client's own slot stays per
 // client.
 //
-// Crypto fast-path (Elem/MultiExp) rules — the engines' proof work (blame
-// mix cascade, output certificates) rides the multi-exponentiation engine
+// Crypto fast-path (Elem/MultiExp) rules — the engines' proof work (the
+// scheduling and blame mix cascade, output certificates) rides the multi-exponentiation engine
 // in crypto/multiexp.h; the contract mirrors the ownership rules above:
 //   * Group::Elem carries Montgomery-form limbs. Convert with
 //     ToElem/FromElem at boundaries (wire, transcripts, comparisons) and
@@ -74,6 +74,22 @@
 // combining or certifying. Rounds *finish* strictly in order (outputs are
 // distributed in round order). Depth 1 reproduces the sequential protocol
 // exactly.
+//
+// Scheduling sub-phase (§3.10): an engine whose logic holds no pseudonym
+// keys runs the verified key shuffle before round 1. ClientEngine::
+// StartSession sends the client's encrypted pseudonym key, signed, to its
+// upstream server; each server collects its attached clients' rows,
+// gossips its roster, and the servers mix in index order, verifying every
+// sibling's step. Each server then installs the keys, sends them to its
+// attached clients as one SlotKeys frame, and opens round 1; a client that
+// receives them takes its slot and submits. It is the same cascade (one
+// state, one roster -> merge -> ordered mix -> verify path) that blame runs
+// below; only finishing differs: scheduling waits for every client's row
+// and drops a step that fails verification, blame has a collection
+// deadline and exposes the cheating mixer. A row that reaches a server
+// whose session is already live is answered with the keys. The mix
+// randomness comes from a scheduling rng the transport passes in, so the
+// logic rngs draw exactly as when keys are installed out of band.
 //
 // Blame sub-phase (§3.9): when a finished round's certified output carries a
 // nonzero shuffle-request field, every server engine independently flags a
@@ -312,9 +328,14 @@ class ServerEngine {
   };
 
   // `logic` must outlive the engine; `def` is the shared group roster.
-  ServerEngine(DissentServer* logic, const GroupDef& def, Config config);
+  // `sched_rng` draws this server's scheduling mix layer: with it, and no
+  // pseudonym keys on the logic, the engine runs the scheduling sub-phase.
+  ServerEngine(DissentServer* logic, const GroupDef& def, Config config,
+               std::optional<SecureRng> sched_rng = std::nullopt);
 
-  // Opens rounds 1..pipeline_depth. Call once, after the key shuffle.
+  // Call once. Opens rounds 1..pipeline_depth at once when the logic already
+  // holds pseudonym keys (or no scheduling rng was given); otherwise runs
+  // the scheduling sub-phase first.
   Actions StartSession(int64_t now_us);
   Actions HandleMessage(const Peer& from, const WireMessage& msg, int64_t now_us);
   Actions HandleTimer(uint64_t token, int64_t now_us);
@@ -322,8 +343,9 @@ class ServerEngine {
   // --- crash recovery ---
   // Serializes the full in-flight protocol state: the logic's schedule
   // window and submission ring, this engine's round ring, frontiers,
-  // retained RoundSummary history, and both directions of the reliable
-  // mailbox. A server restored from the latest snapshot resumes
+  // retained RoundSummary history, both directions of the reliable
+  // mailbox, and either the pseudonym keys or (mid-scheduling) the
+  // scheduling shuffle's rows, rosters and mix steps. A server restored from the latest snapshot resumes
   // byte-identically — unacked frames it sent are retransmitted from the
   // mailbox, frames it never acked are retransmitted by the peers — so its
   // post-restart gossip can never contradict pre-crash gossip already in
@@ -334,10 +356,12 @@ class ServerEngine {
   // Recovery of in-flight frames requires Config::reliability.enabled.
   Bytes SerializeSnapshot() const;
   // Rebuilds from a snapshot taken by the same server (index and pipeline
-  // depth must match). Returns the timer re-arms (window/deadline backstops
-  // for every restored round, plus the retransmit sweep) or nullopt on a
-  // malformed snapshot. Pseudonym keys and evidence retention must be
-  // reinstalled on the logic by the transport *before* this call.
+  // depth must match) on a fresh logic, installing the pseudonym keys it
+  // carries. Returns the timer re-arms (window/deadline backstops for every
+  // restored round, plus the retransmit sweep) or nullopt on a malformed
+  // snapshot. Evidence retention must be set on the logic by the transport
+  // before this call; a snapshot taken mid-scheduling needs the engine's
+  // scheduling rng.
   std::optional<Actions> RestoreSnapshot(const Bytes& snapshot, int64_t now_us);
 
   // Timer-token introspection for transports that prune their timer heaps:
@@ -350,6 +374,11 @@ class ServerEngine {
   static bool TimerStaleAfterRound(uint64_t token, uint64_t round, bool blame_live);
 
   DissentServer& logic() { return *logic_; }
+  // True once the pseudonym keys are installed and round 1 has opened.
+  bool session_live() const { return live_; }
+  // Servers whose scheduling mix step failed verification, in order of
+  // rejection (the transport logs them; scheduling waits for a good step).
+  const std::vector<uint32_t>& rejected_mix_steps() const { return rejected_mix_steps_; }
   uint64_t rounds_completed() const { return rounds_completed_; }
   size_t last_participation() const { return last_participation_; }
   // Submissions accepted for a round while an earlier round was still in
@@ -428,23 +457,31 @@ class ServerEngine {
     return (round << kTimerKindBits) | kind;
   }
 
+  // One verified mix cascade (§3.10) over rows collected from the attached
+  // clients: the scheduling shuffle (session wire::kScheduleSession, width-1
+  // pseudonym keys) and every blame instance (accusation blocks) run on this
+  // state, one at a time. Open while `rosters` is sized.
+  struct Cascade {
+    uint64_t session = 0;
+    size_t width = 0;  // ElGamal elements per row
+    // Collection: rows from this server's attached clients (row bytes + the
+    // client's signature over them).
+    bool collecting = false;
+    std::map<uint32_t, std::pair<Bytes, Bytes>> collected;
+    std::vector<std::optional<std::vector<wire::BlameRosterEntry>>> rosters;
+    // Mixing: the merged matrix walks through every server's verified layer.
+    bool mixing = false;
+    std::vector<std::optional<Bytes>> mix_steps;  // serialized, per server
+    CiphertextMatrix matrix;
+    size_t steps_verified = 0;
+  };
+
   // One blame instance (§3.9); at most one runs at a time, and all round
-  // pipelining is suspended while it does.
+  // pipelining is suspended while it does. Its shuffle is cascade_.
   struct BlameState {
     bool pending = false;  // flagged; waiting for in-flight rounds to drain
     bool active = false;
     uint64_t session = 0;
-    // Collection: fixed-width rows from this server's attached clients
-    // (row bytes + the client's signature over them).
-    bool collecting = false;
-    std::map<uint32_t, std::pair<Bytes, Bytes>> collected;
-    std::vector<std::optional<std::vector<wire::BlameRosterEntry>>> rosters;
-    // Cascade: the merged matrix walks through every server's verified mix.
-    bool mixing = false;
-    std::vector<std::optional<Bytes>> mix_steps;  // serialized, per server
-    CiphertextMatrix cascade;
-    size_t steps_verified = 0;
-    bool own_step_sent = false;
     bool shuffle_ran = false;
     // Trace: the decoded accusation plus every server's disclosure.
     bool tracing = false;
@@ -471,6 +508,8 @@ class ServerEngine {
   };
 
   RoundState* FindRound(uint64_t round);
+  // Empties every per-server gossip slot of a ring entry.
+  void ClearGossip(RoundState& st) const;
   void StartRound(uint64_t round, int64_t now_us, Actions& a);
   // The pre-reliability HandleMessage body: dispatches one already-unwrapped
   // message. The public entry point peels Reliable/Ack frames first.
@@ -523,15 +562,27 @@ class ServerEngine {
   void HandleServerCatchUpBatch(const Peer& from, const wire::ServerCatchUpBatch& batch,
                                 int64_t now_us, Actions& a);
 
-  // --- blame sub-phase (§3.9) ---
+  // --- the shared mix cascade (scheduling §3.10, blame §3.9) ---
+  bool NeedsScheduling() const {
+    return sched_rng_.has_value() && logic_->pseudonym_keys().empty();
+  }
   bool IsAttached(uint32_t client) const;
-  size_t ExpectedBlameSubmitters() const;
+  // Attached clients that are not expelled: every row a cascade waits for.
+  size_t ExpectedSubmitters() const;
+  void OpenCascade(uint64_t session, size_t width);
+  void HandleCascadeRow(const Peer& from, const wire::AccusationSubmit& row, int64_t now_us,
+                        Actions& a);
+  void MaybeCloseCollection(int64_t now_us, Actions& a, bool deadline = false);
+  void MaybeAssembleMatrix(int64_t now_us, Actions& a);
+  void TryAdvanceCascade(int64_t now_us, Actions& a);
+  // Scheduling verified: install the keys, send them down, open round 1.
+  void FinishScheduling(int64_t now_us, Actions& a);
+  std::shared_ptr<const WireMessage> SlotKeysMessage() const;
+
+  // --- blame sub-phase (§3.9) ---
   void MaybeStartBlame(int64_t now_us, Actions& a);
   void HandleBlameMessage(const Peer& from, const WireMessage& msg, int64_t now_us, Actions& a);
   void BufferEarlyBlame(uint32_t sender, const WireMessage& msg);
-  void CloseBlameCollection(int64_t now_us, Actions& a);
-  void MaybeAssembleBlameMatrix(int64_t now_us, Actions& a);
-  void TryAdvanceCascade(int64_t now_us, Actions& a);
   void DecodeBlameAccusation(int64_t now_us, Actions& a);
   void MaybeTrace(int64_t now_us, Actions& a);
   void HandleRebuttal(const wire::BlameRebuttal& msg, const Peer& from, int64_t now_us,
@@ -563,6 +614,10 @@ class ServerEngine {
   uint64_t pipelined_submissions_ = 0;
   bool halted_ = false;
 
+  bool live_ = false;
+  std::optional<SecureRng> sched_rng_;
+  std::vector<uint32_t> rejected_mix_steps_;
+  Cascade cascade_;
   BlameState blame_;
   // Server-gossiped blame messages that outpaced our own pipeline drain
   // (a peer can finish, collect, and roster while our last round's
@@ -644,10 +699,15 @@ class ClientEngine {
     std::vector<wire::BlameVerdict> verdicts;
   };
 
-  ClientEngine(DissentClient* logic, const GroupDef& def, Config config);
+  // `sched_rng` encrypts the scheduling row: with it, and no slot on the
+  // logic, StartSession joins the scheduling sub-phase.
+  ClientEngine(DissentClient* logic, const GroupDef& def, Config config,
+               std::optional<SecureRng> sched_rng = std::nullopt);
 
-  // Submits ciphertexts for rounds 1..pipeline_depth. Call once, after the
-  // key shuffle assigned slots.
+  // Call once. Submits ciphertexts for rounds 1..pipeline_depth when the
+  // logic already holds its slot (or no scheduling rng was given);
+  // otherwise sends the scheduling row, and submits once the upstream
+  // server's SlotKeys arrive (with auto_submit).
   Actions StartSession(int64_t now_us);
   Actions HandleMessage(const Peer& from, const WireMessage& msg, int64_t now_us);
   Actions HandleTimer(uint64_t token, int64_t now_us);
@@ -674,6 +734,9 @@ class ClientEngine {
     return (id << ServerEngine::kTimerKindBits) | kind;
   }
   void Submit(uint64_t round, Actions& a);
+  void SubmitFirstRounds(Actions& a);
+  void SendScheduleRow(Actions& a);
+  void AdoptSlotKeys(const wire::SlotKeys& msg, int64_t now_us, Actions& a);
   void SendUpstream(WireMessage msg, Actions& a);
   void AnswerBlameStart(uint64_t session, Actions& a);
   void Seal(Actions& a, int64_t now_us);
@@ -698,6 +761,8 @@ class ClientEngine {
   DissentClient* logic_;
   const GroupDef& def_;
   Config config_;
+  std::optional<SecureRng> sched_rng_;
+  bool awaiting_keys_ = false;  // scheduling row sent, SlotKeys not yet in
   uint64_t last_output_round_ = 0;  // replay guard: outputs move forward only
   // Blame deferral (§3.9): after a flagged output, auto-submission pauses
   // (the servers stopped opening rounds) and the held rounds flush when the
@@ -735,7 +800,8 @@ class ClientEngine {
   // Recently submitted ciphertexts, re-sent on a stalled resync timer and
   // pruned as outputs arrive. With reliability on, each value is the sealed
   // wire::Reliable frame the mailbox keeps until the ack (one copy of the
-  // ciphertext per in-flight round); otherwise the bare ClientSubmit.
+  // ciphertext per in-flight round); otherwise the bare ClientSubmit. Key 0
+  // holds the scheduling row until the slot keys arrive.
   std::map<uint64_t, std::shared_ptr<const WireMessage>> sent_submits_;
   int64_t last_progress_us_ = 0;
 };

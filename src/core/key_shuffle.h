@@ -63,7 +63,8 @@ size_t MessageBlockWidth(const GroupDef& def, size_t len);
 std::optional<Bytes> DecodeMessageBlocks(const GroupDef& def,
                                          const std::vector<ElGamalCiphertext>& row);
 
-// --- full cascade (driver-side reference implementation) ---
+// --- full cascade (reference oracle for tests and benches; the engines run
+// the same cascade piecewise as their scheduling and blame sub-phases) ---
 
 struct ShuffleCascadeResult {
   // Final decrypted rows (b components are the plaintext elements).
@@ -72,8 +73,7 @@ struct ShuffleCascadeResult {
   std::vector<MixStep> steps;
 };
 
-// Runs the cascade across all servers given their private keys (used by the
-// in-process coordinator; the networked driver exchanges MixSteps instead).
+// Runs the cascade across all servers given their private keys.
 ShuffleCascadeResult RunShuffleCascade(const GroupDef& def,
                                        const std::vector<BigInt>& server_privs,
                                        const CiphertextMatrix& submissions, SecureRng& rng);
@@ -82,11 +82,11 @@ ShuffleCascadeResult RunShuffleCascade(const GroupDef& def,
 bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissions,
                           const ShuffleCascadeResult& result);
 
-// --- wire codecs (engine-driven blame shuffle, §3.9) ---
+// --- wire codecs (engine-driven shuffles: scheduling §3.10, blame §3.9) ---
 //
-// The blame sub-phase runs the general message shuffle *over the wire*:
-// clients ship encrypted fixed-width accusation rows, and each server ships
-// its MixStep to every peer for verification. These codecs are the canonical,
+// The engines run both shuffles *over the wire*: clients ship encrypted
+// fixed-width rows (a pseudonym key, or accusation blocks), and each server
+// ships its MixStep to every peer for verification. These codecs are the canonical,
 // hostile-input-hardened byte forms those messages carry — counts are bounded
 // by the remaining input before any allocation, and every group element is
 // subgroup-membership-checked on parse.

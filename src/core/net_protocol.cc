@@ -28,6 +28,7 @@ uint64_t Fnv1a64(const uint8_t* p, size_t n) {
 struct NetDissent::ServerNode {
   std::unique_ptr<DissentServer> logic;
   std::unique_ptr<ServerEngine> engine;
+  std::optional<SecureRng> sched_rng;  // handed to every incarnation's engine
   NodeId node = 0;
   std::vector<size_t> attached_machines;
   // Crash harness: timers scheduled by a previous incarnation check the
@@ -87,6 +88,17 @@ NetDissent::NetDissent(GroupDef def, std::vector<BigInt> server_privs,
     servers_.push_back(std::move(node));
   }
   // Engines: thin typed state machines; this class is only their transport.
+  // Their scheduling rngs fork after the logic rngs, clients first (the
+  // Coordinator's and net::DeployNodeRng's order).
+  for (size_t i = 0; i < clients_.size(); ++i) {
+    ClientEngine::Config cfg;
+    cfg.upstream_server = static_cast<uint32_t>(clients_[i]->upstream);
+    cfg.pipeline_depth = depth;
+    cfg.reliability = options_.reliability;
+    cfg.resync_timeout_us = options_.resync_timeout;
+    clients_[i]->engine =
+        std::make_unique<ClientEngine>(clients_[i]->logic.get(), def_, cfg, rng_.Fork());
+  }
   // Attached clients are listed machine-major so broadcast fan-out visits
   // each machine's clients contiguously.
   machines_.resize(num_machines);
@@ -103,17 +115,9 @@ NetDissent::NetDissent(GroupDef def, std::vector<BigInt> server_privs,
     }
     // Config built by a helper so the crash harness can rebuild an identical
     // engine around a restored snapshot.
-    servers_[j]->engine =
-        std::make_unique<ServerEngine>(servers_[j]->logic.get(), def_, ServerConfigFor(j));
-  }
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    ClientEngine::Config cfg;
-    cfg.upstream_server = static_cast<uint32_t>(clients_[i]->upstream);
-    cfg.pipeline_depth = depth;
-    cfg.reliability = options_.reliability;
-    cfg.resync_timeout_us = options_.resync_timeout;
-    clients_[i]->engine =
-        std::make_unique<ClientEngine>(clients_[i]->logic.get(), def_, cfg);
+    servers_[j]->sched_rng = rng_.Fork();
+    servers_[j]->engine = std::make_unique<ServerEngine>(servers_[j]->logic.get(), def_,
+                                                         ServerConfigFor(j), servers_[j]->sched_rng);
   }
   // Network nodes. Servers first so their node ids are stable regardless of
   // client count; deliveries parse the typed wire message (once per distinct
@@ -285,13 +289,12 @@ void NetDissent::DeliverToMachine(size_t m, NodeId from, const Network::Frame& p
   if (!std::holds_alternative<wire::Output>(*msg) &&
       !std::holds_alternative<wire::BlameStart>(*msg) &&
       !std::holds_alternative<wire::BlameVerdict>(*msg) &&
-      !std::holds_alternative<wire::RoundSummary>(*msg)) {
+      !std::holds_alternative<wire::RoundSummary>(*msg) &&
+      !std::holds_alternative<wire::SlotKeys>(*msg)) {
     return;
   }
-  // Fan the (already parsed) broadcast to every hosted client. Duplicate
-  // frames (the per-client-frame comparison mode) are shed by each engine's
-  // replay guards, so semantics match the shared-frame path exactly.
-  // RoundSummary is fanned too: catch-up replies address one client, but a
+  // Fan the (already parsed) broadcast to every hosted client. RoundSummary
+  // (and a SlotKeys answer to one late row) is fanned too: catch-up replies address one client, but a
   // summary is certified public output — any co-hosted client behind on that
   // round may ingest it, and the rest drop it via the round guard.
   for (size_t k = 0; k < machine.num_clients; ++k) {
@@ -304,71 +307,31 @@ void NetDissent::DeliverToMachine(size_t m, NodeId from, const Network::Frame& p
 }
 
 bool NetDissent::Start() {
+  // Keys computed out of band (slot i = client i under direct scheduling,
+  // which skips a shuffle whose cost at 1,000+ clients dwarfs the rounds
+  // under test): slots follow that order as if the shuffle had run here.
+  std::optional<std::vector<BigInt>> keys = options_.preset_pseudonym_keys;
   if (options_.direct_scheduling) {
-    // Slot i = client i: skips the verified shuffle (whose cost at 1,000+
-    // clients dwarfs the rounds under test) while leaving the round path
-    // byte-identical to a shuffle that happened to produce the identity.
-    std::vector<BigInt> keys;
-    keys.reserve(clients_.size());
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      clients_[i]->logic->AssignSlot(i, clients_.size());
-      keys.push_back(clients_[i]->logic->pseudonym().pub);
+    keys.emplace();
+    for (const auto& c : clients_) {
+      keys->push_back(c->logic->pseudonym().pub);
     }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
-  } else if (options_.preset_pseudonym_keys.has_value()) {
-    // Externally computed cascade result (see Options): slots follow the
-    // provided order exactly as if the shuffle had run here.
-    std::vector<BigInt> keys = *options_.preset_pseudonym_keys;
-    if (keys.size() != clients_.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      auto it = std::find(keys.begin(), keys.end(), clients_[i]->logic->pseudonym().pub);
-      if (it == keys.end()) {
-        return false;
-      }
-      clients_[i]->logic->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
-    }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
-  } else {
-    // Scheduling (§3.10) through the verified cascade — the multi-exp
-    // engine keeps this real (non-direct) path viable at the 1,000-client
-    // scale the data plane already carries (BM_ProtocolScale mode 3).
-    const auto sched_start = std::chrono::steady_clock::now();
-    CiphertextMatrix submissions;
-    for (auto& c : clients_) {
-      submissions.push_back(EncryptPseudonymKey(def_, c->logic->pseudonym().pub, rng_));
-    }
-    ShuffleCascadeResult cascade = RunShuffleCascade(def_, server_privs_, submissions, rng_);
-    if (!VerifyShuffleCascade(def_, submissions, cascade)) {
-      return false;
-    }
-    scheduling_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
-    std::vector<BigInt> keys;
-    for (const auto& row : cascade.final_rows) {
-      keys.push_back(row[0].b);
-    }
-    for (size_t i = 0; i < clients_.size(); ++i) {
-      auto it = std::find(keys.begin(), keys.end(), clients_[i]->logic->pseudonym().pub);
-      if (it == keys.end()) {
-        return false;
-      }
-      clients_[i]->logic->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
-    }
-    for (auto& s : servers_) {
-      s->logic->SetPseudonymKeys(keys);
-    }
-    pseudonym_keys_ = std::move(keys);
   }
-  for (auto& s : servers_) {
-    s->logic->BeginSlots(clients_.size());
+  if (keys.has_value()) {
+    if (keys->size() != clients_.size()) {
+      return false;
+    }
+    for (auto& c : clients_) {
+      auto it = std::find(keys->begin(), keys->end(), c->logic->pseudonym().pub);
+      if (it == keys->end()) {
+        return false;
+      }
+      c->logic->AssignSlot(static_cast<size_t>(it - keys->begin()), keys->size());
+    }
+    for (auto& s : servers_) {
+      s->logic->SetPseudonymKeys(*keys);
+      s->logic->BeginSlots(clients_.size());
+    }
   }
   // Chaos layer: install the frame-level plan on the network and enact the
   // crash windows here (Crash::node names a *server index* — the network
@@ -384,6 +347,7 @@ bool NetDissent::Start() {
       sim_->ScheduleAt(crash.up_at, [this, j] { RestoreServer(j); });
     }
   }
+  const auto sched_start = std::chrono::steady_clock::now();
   for (size_t j = 0; j < servers_.size(); ++j) {
     DispatchServer(j, servers_[j]->engine->StartSession(sim_->Now()));
   }
@@ -392,7 +356,32 @@ bool NetDissent::Start() {
       DispatchClient(i, clients_[i]->engine->StartSession(sim_->Now()));
     }
   }
-  return true;
+  if (keys.has_value()) {
+    return true;
+  }
+  // Scheduling (§3.10) runs inside the engines over the simulated network:
+  // step the simulation until every server is live and every online client
+  // has its slot (and with it, its round-1 submission), within the hard
+  // deadline.
+  auto scheduled = [this] {
+    for (const auto& s : servers_) {
+      if (s->crashed || !s->engine->session_live()) {
+        return false;
+      }
+    }
+    for (const auto& c : clients_) {
+      if (c->online && !c->logic->slot().has_value()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!scheduled() && sim_->pending() > 0 && sim_->Now() < options_.hard_deadline) {
+    sim_->Step();
+  }
+  scheduling_seconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
+  return scheduled();
 }
 
 ServerEngine::Config NetDissent::ServerConfigFor(size_t j) const {
@@ -433,17 +422,16 @@ void NetDissent::RestoreServer(size_t j) {
   if (!s.crashed) {
     return;
   }
-  // Rebuild logic + engine from scratch, then resume from the snapshot. The
-  // fresh rng seed is irrelevant: DissentServer::RestoreState reseeds
-  // deterministically from the state bytes, so a restart is replayable.
+  // Rebuild logic + engine from scratch, then resume from the snapshot (it
+  // carries the keys, or the scheduling shuffle so far). The fresh rng seed
+  // is irrelevant: DissentServer::RestoreState reseeds deterministically
+  // from the state bytes, so a restart is replayable.
   const size_t depth = std::max<size_t>(options_.pipeline_depth, 1);
   auto logic = std::make_unique<DissentServer>(
       def_, j, server_privs_[j], SecureRng::FromLabel(0x52455354u ^ j), depth);
   logic->SetEvidenceRounds(options_.evidence_rounds);
-  logic->SetPseudonymKeys(pseudonym_keys_);
-  logic->BeginSlots(clients_.size());
   s.logic = std::move(logic);
-  s.engine = std::make_unique<ServerEngine>(s.logic.get(), def_, ServerConfigFor(j));
+  s.engine = std::make_unique<ServerEngine>(s.logic.get(), def_, ServerConfigFor(j), s.sched_rng);
   s.crashed = false;
   net_.SetOnline(s.node, true);
   ++server_restarts_;
@@ -503,24 +491,12 @@ void NetDissent::SendEnvelope(size_t server_index, const Envelope& env,
     case Peer::Kind::kClient:
       net_.Send(from, machines_[clients_[env.to.index]->machine].node, frame);
       return;
-    case Peer::Kind::kAttachedClients: {
-      const ServerNode& s = *servers_[env.to.index];
-      if (options_.shared_broadcast) {
-        // One frame per attached machine; co-located clients share it.
-        for (size_t m : s.attached_machines) {
-          net_.Send(from, machines_[m].node, frame);
-        }
-      } else {
-        // Pre-batching per-message path: one wire copy per client. The
-        // frames are byte-identical; only the wire cost differs.
-        for (size_t m : s.attached_machines) {
-          for (size_t k = 0; k < machines_[m].num_clients; ++k) {
-            net_.Send(from, machines_[m].node, frame);
-          }
-        }
+    case Peer::Kind::kAttachedClients:
+      // One frame per attached machine; co-located clients share it.
+      for (size_t m : servers_[env.to.index]->attached_machines) {
+        net_.Send(from, machines_[m].node, frame);
       }
       return;
-    }
   }
 }
 

@@ -14,17 +14,16 @@
 // 5,000 clients on ~100 hosts. A machine is one sim::Network node: its
 // clients share its NIC (uplink serialization) and its links. The engines'
 // single kAttachedClients Output envelope fans out as one ref-counted frame
-// per attached machine (`shared_broadcast`), parsed once per frame and
-// handed to every co-located client — per-round distribution cost scales
-// with machines, not clients. `shared_broadcast = false` reproduces the
-// per-client-frame path (one Output copy per client through the server NIC)
-// for apples-to-apples benchmarking of the per-message cost this replaces.
+// per attached machine, parsed once per frame and handed to every
+// co-located client — per-round distribution cost scales with machines, not
+// clients.
 //
-// Scheduling (the key shuffle) runs up front through the same cascade code
-// the in-process coordinator uses; `direct_scheduling` skips it (slot i =
-// client i) for scale runs where the cascade's cost would dwarf the rounds
-// under test. Only the continuous DC-net rounds are exercised over the
-// network here.
+// Scheduling (the key shuffle) is the engines' first sub-phase, so it runs
+// over the simulated network like everything else; Start() steps the
+// simulation until it is done. `direct_scheduling` (slot i = client i) and
+// `preset_pseudonym_keys` install keys out of band instead, for scale runs
+// where the cascade's cost would dwarf the rounds under test and for the
+// socket transport's byte-identity reference.
 //
 // With Options::pipeline_depth > 1, submissions for round r+1 are accepted
 // while round r is still combining/certifying (Verdict/Riposte-style round
@@ -76,9 +75,6 @@ class NetDissent {
     // this degenerates to the original one-node-per-client topology and the
     // original i % M attachment.
     size_t clients_per_machine = 1;
-    // One Output frame per attached machine (true) vs one per client
-    // (false, the pre-batching per-message path kept for comparison).
-    bool shared_broadcast = true;
     // Skip the verified key shuffle; assign slot i to client i.
     bool direct_scheduling = false;
     // Externally computed shuffle result (final pseudonym-key order):
@@ -127,8 +123,11 @@ class NetDissent {
              Simulator* sim, Options options, uint64_t seed);
   ~NetDissent();
 
-  // Runs the key shuffle synchronously (or assigns slots directly) and kicks
-  // off round 1 at sim time 0.
+  // Starts every engine at the current sim time. With keys installed out
+  // of band, round 1 opens at once; otherwise the engines' key shuffle runs
+  // first and Start() steps the simulation until every server has opened
+  // round 1 and every online client holds its slot. False if the shuffle
+  // stalls (within Options::hard_deadline of sim time).
   bool Start();
 
   DissentClient& client(size_t i);
@@ -141,8 +140,9 @@ class NetDissent {
   // Observability for tests/benches.
   uint64_t rounds_completed() const { return rounds_completed_; }
   // Wall-clock seconds the verified key-shuffle cascade took inside Start()
-  // (prove + verify across all servers); 0 under direct_scheduling. The
-  // scale benches report this as the control-plane setup cost.
+  // (prove + verify at every server, plus simulating its traffic); 0 with
+  // keys installed out of band. The scale benches report this as the
+  // control-plane setup cost.
   double scheduling_seconds() const { return scheduling_seconds_; }
   size_t last_participation() const { return last_participation_; }
   const std::vector<std::pair<size_t, Bytes>>& delivered_messages() const {
@@ -253,10 +253,6 @@ class NetDissent {
   std::optional<DisruptorHook> disruptor_;
   std::vector<ServerEngine::BlameDone> blame_done_;
 
-  // PR 6 state: pseudonym keys are retained so a restarted server can be
-  // re-armed with them (they are session metadata a real deployment would
-  // reload from disk, not in-flight protocol state).
-  std::vector<BigInt> pseudonym_keys_;
   uint64_t checksum_drops_ = 0;
   uint64_t server_restarts_ = 0;
 };

@@ -616,8 +616,8 @@ bool DissentServer::CheckAccusation(const SignedAccusation& acc) const {
                             static_cast<size_t>(layout.slot_length(acc.accusation.slot)) * 8);
 }
 
-MixStep DissentServer::BlameMixStep(const CiphertextMatrix& inputs) {
-  return KeyShuffleMixStep(def_, index_, priv_, inputs, rng_);
+MixStep DissentServer::MixLayer(const CiphertextMatrix& inputs, SecureRng* rng) {
+  return KeyShuffleMixStep(def_, index_, priv_, inputs, rng != nullptr ? *rng : rng_);
 }
 
 TraceDisclosure DissentServer::BuildTraceDisclosure(uint64_t round, size_t bit_index) const {

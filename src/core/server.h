@@ -186,7 +186,7 @@ class DissentServer {
   // is refused). Pad jobs are not state: a restored round expands the pads
   // its accumulator lacks at window close. Evidence and pseudonym keys are
   // excluded too: tracing for pre-crash rounds degrades to unavailable, and
-  // the transport reinstalls keys on restart. RestoreState also reseeds the
+  // the engine snapshot carries the keys. RestoreState also reseeds the
   // internal rng from the snapshot hash, keeping the restarted server
   // deterministic (steady-state signing no longer touches it at all).
   Bytes SerializeState() const;
@@ -210,8 +210,8 @@ class DissentServer {
 
   // --- blame sub-phase support (§3.9, engine-driven) ---
   // The shuffled pseudonym keys, roster-ordered by slot; needed to validate
-  // accusation signatures. Both transports install them right after
-  // scheduling.
+  // accusation signatures. The engine installs them when its scheduling
+  // shuffle verifies (or a transport does, for keys computed out of band).
   void SetPseudonymKeys(std::vector<BigInt> keys);
   const std::vector<BigInt>& pseudonym_keys() const { return pseudonym_keys_; }
 
@@ -220,9 +220,11 @@ class DissentServer {
   // and the bit actually came out 1. False when the evidence has expired.
   bool CheckAccusation(const SignedAccusation& acc) const;
 
-  // This server's mix contribution to the blame shuffle cascade (its layer
-  // of the general message shuffle, proven).
-  MixStep BlameMixStep(const CiphertextMatrix& inputs);
+  // This server's proven layer of a verified mix cascade (§3.10): the
+  // blame shuffle draws from the logic rng; the scheduling shuffle passes
+  // the node's scheduling rng, so the logic rng draws exactly as when keys
+  // are installed out of band.
+  MixStep MixLayer(const CiphertextMatrix& inputs, SecureRng* rng = nullptr);
 
   // The §3.9 trace disclosure for (round, bit): pad bits over the retained
   // composite list, received ciphertext bits over the trimmed own share, and

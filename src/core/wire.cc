@@ -31,21 +31,22 @@ enum class Tag : uint8_t {
   kAbortCommit = 22,
   kServerCatchUpRequest = 23,
   kServerCatchUpBatch = 24,
+  kSlotKeys = 25,
 };
 
 }  // namespace
 
 // IsBlamePhaseMessage relies on the blame messages occupying a contiguous
-// variant range [6, 13]; the reliability/recovery frames are appended after
-// so existing index-based dispatch never shifts.
+// variant range [6, 13]; the reliability/recovery frames and SlotKeys are
+// appended after so existing index-based dispatch never shifts.
 static_assert(std::is_same_v<std::variant_alternative_t<6, WireMessage>, wire::BlameStart>,
               "blame messages must start at variant index 6");
 static_assert(std::is_same_v<std::variant_alternative_t<13, WireMessage>, wire::BlameVerdict>,
               "BlameVerdict must close the blame range at variant index 13");
 static_assert(std::is_same_v<std::variant_alternative_t<std::variant_size_v<WireMessage> - 1,
                                                         WireMessage>,
-              wire::ServerCatchUpBatch>,
-              "reliability frames must stay appended after the blame range");
+              wire::SlotKeys>,
+              "new frames must stay appended after the blame range");
 
 bool BitmapCanonical(const Bytes& bitmap, size_t bits) {
   if (bitmap.size() != (bits + 7) / 8) {
@@ -237,6 +238,12 @@ void SerializeWireTo(const WireMessage& msg, Writer& w) {
             for (const Bytes& sig : entry.signatures) {
               w.Blob(sig);
             }
+          }
+        } else if constexpr (std::is_same_v<T, wire::SlotKeys>) {
+          w.U8(static_cast<uint8_t>(Tag::kSlotKeys));
+          w.U32(static_cast<uint32_t>(m.keys.size()));
+          for (const Bytes& key : m.keys) {
+            w.Blob(key);
           }
         }
       },
@@ -645,6 +652,26 @@ std::optional<WireMessage> ParseWire(const Bytes& data) {
       }
       return WireMessage(std::move(m));
     }
+    case Tag::kSlotKeys: {
+      wire::SlotKeys m;
+      uint32_t count;
+      // Each key blob carries at least its 4-byte length prefix.
+      if (!r.U32(&count) || static_cast<size_t>(count) > r.remaining() / 4) {
+        return std::nullopt;
+      }
+      m.keys.reserve(count);
+      for (uint32_t k = 0; k < count; ++k) {
+        Bytes key;
+        if (!r.Blob(&key)) {
+          return std::nullopt;
+        }
+        m.keys.push_back(std::move(key));
+      }
+      if (!r.AtEnd()) {
+        return std::nullopt;
+      }
+      return WireMessage(std::move(m));
+    }
     default:
       return std::nullopt;
   }
@@ -712,8 +739,10 @@ const char* WireTypeName(const WireMessage& msg) {
           return "AbortCommit";
         } else if constexpr (std::is_same_v<T, wire::ServerCatchUpRequest>) {
           return "ServerCatchUpRequest";
-        } else {
+        } else if constexpr (std::is_same_v<T, wire::ServerCatchUpBatch>) {
           return "ServerCatchUpBatch";
+        } else {
+          return "SlotKeys";
         }
       },
       msg);

@@ -8,7 +8,9 @@
 // flow — BlameStart, AccusationSubmit (the fixed-width blame-shuffle
 // input), BlameRoster, BlameMix (one verified shuffle layer), TraceEvidence
 // (pad-bit disclosure), BlameChallenge, BlameRebuttal, and BlameVerdict
-// (the outcome every client receives).
+// (the outcome every client receives). The §3.10 scheduling shuffle rides
+// the same AccusationSubmit/BlameRoster/BlameMix frames under session
+// kScheduleSession, and SlotKeys carries its result to the clients.
 //
 // Serialize/Parse are canonical (exactly one valid encoding per value) and
 // defensive: Parse rejects truncation, trailing bytes, unknown tags, and
@@ -85,11 +87,17 @@ struct Output {
   std::vector<Bytes> signatures;
 };
 
-// --- blame phase (§3.9) ---
+// --- verified shuffles: scheduling (§3.10) and blame (§3.9) ---
 //
-// The blame sub-phase is one protocol instance per flagged round, identified
-// by `session` (the round number whose certified output carried the nonzero
-// shuffle-request field). Message flow, driven entirely by the engines:
+// Every shuffle is one protocol instance identified by `session`. Session
+// kScheduleSession is the key shuffle that assigns slots before round 1:
+// each client submits its encrypted pseudonym key (width 1) as an
+// AccusationSubmit, the servers gossip BlameRoster and BlameMix frames
+// exactly as a blame instance does, and each server sends the resulting
+// key order to its attached clients as SlotKeys. Every other session is a
+// blame instance, identified by the round number whose certified output
+// carried the nonzero shuffle-request field. Blame message flow, driven
+// entirely by the engines:
 //
 //   server -> attached clients   BlameStart          open the blame shuffle
 //   client -> upstream server    AccusationSubmit    fixed-width blame row
@@ -100,6 +108,18 @@ struct Output {
 //   client -> upstream server    BlameRebuttal       DLEQ reveal (or concede)
 //   server -> servers            BlameRebuttal       forwarded verbatim
 //   server -> attached clients   BlameVerdict        outcome + expulsion
+
+// Session id of the scheduling shuffle; blame sessions are round numbers,
+// so they start at 1.
+constexpr uint64_t kScheduleSession = 0;
+
+// Server -> its attached clients (or one client whose scheduling row
+// arrived after the session went live): the shuffled pseudonym keys as
+// fixed-width group elements in slot order. A client's slot is the position
+// of its own pseudonym key.
+struct SlotKeys {
+  std::vector<Bytes> keys;
+};
 
 // Server -> its attached clients: the blame shuffle for `session` is open;
 // every online client answers with exactly one AccusationSubmit.
@@ -358,7 +378,7 @@ using WireMessage =
                  wire::BlameRebuttal, wire::BlameVerdict, wire::Ack, wire::Reliable,
                  wire::CatchUpRequest, wire::RoundSummary, wire::VerdictShare, wire::RoundAbort,
                  wire::AbortPrepare, wire::AbortCommit, wire::ServerCatchUpRequest,
-                 wire::ServerCatchUpBatch>;
+                 wire::ServerCatchUpBatch, wire::SlotKeys>;
 
 // Canonical encoding: [u8 tag][fixed fields][length-prefixed byte strings].
 Bytes SerializeWire(const WireMessage& msg);

@@ -15,12 +15,12 @@
 //   server sched rngs   = forks 2N+M..2N+2M-1 (mix-step randomness)
 //
 // Any process re-derives exactly the forks it needs by skipping ahead from
-// scratch (forks are cheap). The scheduling forks extend the in-process
-// discipline: Coordinator/NetDissent draw scheduling randomness from the
-// master stream *after* construction, which a distributed run cannot do, so
-// the reference run instead computes the cascade with these per-node sched
-// rngs and feeds the resulting key order back via RunSchedulingExternal /
-// preset_pseudonym_keys.
+// scratch (forks are cheap). Coordinator and NetDissent fork their engines'
+// scheduling rngs in the same order, so every transport's in-engine key
+// shuffle yields DistributedCascadeKeys' order for the same seed. The sim
+// reference still computes that order out of band (and presets it), which
+// makes the socket fleet's byte identity against the fixture an independent
+// check on the in-engine shuffle.
 //
 // Topology: client host h serves clients [h*k, h*k+count) and attaches to
 // server h % M — the same machine-major shape as NetDissent, so the two
@@ -52,10 +52,6 @@ struct DeployConfig {
   std::string host = "127.0.0.1";
   // Server j listens on base_port + j.
   uint16_t base_port = 29000;
-  // Fully verify the whole cascade on every server (each mix step is always
-  // verified; this adds the end-to-end re-verification). O(M*N) exps — on
-  // by default for small runs, off for the 100-process harness.
-  bool verify_cascade = true;
   // TCP-tuned reliability (see ROADMAP delivery-assumptions): the kernel
   // retransmits within a connection, so the mailbox's job here is purely
   // cross-connection — frames lost to a crashed/restarted peer. A short rto

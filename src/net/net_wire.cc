@@ -12,10 +12,6 @@ namespace {
 
 enum class Tag : uint8_t {
   kHello = 0x80,
-  kSchedSubmit = 0x81,
-  kSchedRoster = 0x82,
-  kSchedMix = 0x83,
-  kSchedKeys = 0x84,
 };
 
 constexpr size_t kHmacBlock = 64;
@@ -85,131 +81,27 @@ bool VerifyHello(const Bytes& secret, const Hello& hello) {
 }
 
 Bytes SerializeNet(const NetMessage& msg) {
+  const Hello& m = std::get<Hello>(msg);
   Writer w;
-  std::visit(
-      [&w](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello>) {
-          w.U8(static_cast<uint8_t>(Tag::kHello));
-          w.U8(m.role);
-          w.U32(m.first_id);
-          w.U32(m.count);
-          w.U64(m.nonce);
-          w.Blob(m.mac);
-        } else if constexpr (std::is_same_v<T, SchedSubmit>) {
-          w.U8(static_cast<uint8_t>(Tag::kSchedSubmit));
-          w.U32(m.client_id);
-          w.Blob(m.row);
-        } else if constexpr (std::is_same_v<T, SchedRoster>) {
-          w.U8(static_cast<uint8_t>(Tag::kSchedRoster));
-          w.U32(m.server_id);
-          w.U32(static_cast<uint32_t>(m.entries.size()));
-          for (const auto& e : m.entries) {
-            w.U32(e.client_id);
-            w.Blob(e.row);
-          }
-        } else if constexpr (std::is_same_v<T, SchedMix>) {
-          w.U8(static_cast<uint8_t>(Tag::kSchedMix));
-          w.U32(m.server_id);
-          w.Blob(m.step);
-        } else if constexpr (std::is_same_v<T, SchedKeys>) {
-          w.U8(static_cast<uint8_t>(Tag::kSchedKeys));
-          w.U32(static_cast<uint32_t>(m.keys.size()));
-          for (const auto& k : m.keys) {
-            w.Blob(k);
-          }
-        }
-      },
-      msg);
+  w.U8(static_cast<uint8_t>(Tag::kHello));
+  w.U8(m.role);
+  w.U32(m.first_id);
+  w.U32(m.count);
+  w.U64(m.nonce);
+  w.Blob(m.mac);
   return w.Take();
 }
 
 std::optional<NetMessage> ParseNet(const Bytes& data) {
   Reader r(data);
   uint8_t tag;
-  if (!r.U8(&tag)) {
+  Hello m;
+  if (!r.U8(&tag) || tag != static_cast<uint8_t>(Tag::kHello) || !r.U8(&m.role) ||
+      !r.U32(&m.first_id) || !r.U32(&m.count) || !r.U64(&m.nonce) || !r.Blob(&m.mac) ||
+      !r.AtEnd() || m.mac.size() != kMacBytes) {
     return std::nullopt;
   }
-  switch (static_cast<Tag>(tag)) {
-    case Tag::kHello: {
-      Hello m;
-      if (!r.U8(&m.role) || !r.U32(&m.first_id) || !r.U32(&m.count) || !r.U64(&m.nonce) ||
-          !r.Blob(&m.mac) || !r.AtEnd()) {
-        return std::nullopt;
-      }
-      if (m.mac.size() != kMacBytes) {
-        return std::nullopt;
-      }
-      return NetMessage{std::move(m)};
-    }
-    case Tag::kSchedSubmit: {
-      SchedSubmit m;
-      if (!r.U32(&m.client_id) || !r.Blob(&m.row) || !r.AtEnd()) {
-        return std::nullopt;
-      }
-      return NetMessage{std::move(m)};
-    }
-    case Tag::kSchedRoster: {
-      SchedRoster m;
-      uint32_t count;
-      if (!r.U32(&m.server_id) || !r.U32(&count)) {
-        return std::nullopt;
-      }
-      // Each entry is at least 8 bytes (id + empty blob); bound the
-      // allocation by what the input could actually hold.
-      if (static_cast<uint64_t>(count) * 8 > r.remaining()) {
-        return std::nullopt;
-      }
-      m.entries.reserve(count);
-      uint32_t prev = 0;
-      for (uint32_t i = 0; i < count; ++i) {
-        SchedRosterEntry e;
-        if (!r.U32(&e.client_id) || !r.Blob(&e.row)) {
-          return std::nullopt;
-        }
-        if (i > 0 && e.client_id <= prev) {
-          return std::nullopt;  // strict order keeps rosters canonical
-        }
-        prev = e.client_id;
-        m.entries.push_back(std::move(e));
-      }
-      if (!r.AtEnd()) {
-        return std::nullopt;
-      }
-      return NetMessage{std::move(m)};
-    }
-    case Tag::kSchedMix: {
-      SchedMix m;
-      if (!r.U32(&m.server_id) || !r.Blob(&m.step) || !r.AtEnd()) {
-        return std::nullopt;
-      }
-      return NetMessage{std::move(m)};
-    }
-    case Tag::kSchedKeys: {
-      SchedKeys m;
-      uint32_t count;
-      if (!r.U32(&count)) {
-        return std::nullopt;
-      }
-      if (static_cast<uint64_t>(count) * 4 > r.remaining()) {
-        return std::nullopt;
-      }
-      m.keys.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        Bytes k;
-        if (!r.Blob(&k)) {
-          return std::nullopt;
-        }
-        m.keys.push_back(std::move(k));
-      }
-      if (!r.AtEnd()) {
-        return std::nullopt;
-      }
-      return NetMessage{std::move(m)};
-    }
-    default:
-      return std::nullopt;
-  }
+  return NetMessage{std::move(m)};
 }
 
 }  // namespace net

@@ -1,9 +1,9 @@
 // Transport-control messages for the real-socket transport.
 //
 // These frames never reach the protocol engines: they carry connection
-// identity (the hello handshake) and the distributed key-shuffle exchange
-// that runs *before* the engines' session starts. Their tag byte lives at
-// 0x80 and above — disjoint from wire.h's protocol tags (1..20) — so one
+// identity (the hello handshake), the only thing the transport itself has
+// to say — the key shuffle is engine traffic (engine.h). Their tag byte
+// lives at 0x80 and above — disjoint from wire.h's protocol tags — so one
 // byte of a framed payload routes it to the right codec.
 //
 // Peer identity (hello): PR 6's delivery-assumptions table requires the
@@ -14,22 +14,12 @@
 // self-certifying id. A connection is unidentified (and mute) until its
 // hello verifies; the claimed id range then bounds every later claim the
 // connection makes, exactly like NetDissent's machine-hosting check.
-//
-// Distributed scheduling (§3.10 over sockets): clients send their encrypted
-// pseudonym-key submission to their upstream server (SchedSubmit); servers
-// gossip their attached roster to every sibling (SchedRoster); each server,
-// in index order, runs its verified mix and broadcasts the step (SchedMix);
-// the final decrypted column is the slot order, which servers push to their
-// attached client hosts (SchedKeys). Rows, steps, and keys travel as the
-// key_shuffle.h / group codec byte forms, kept opaque here so this codec
-// needs no group context.
 #ifndef DISSENT_NET_NET_WIRE_H_
 #define DISSENT_NET_NET_WIRE_H_
 
 #include <cstdint>
 #include <optional>
 #include <variant>
-#include <vector>
 
 #include "src/util/bytes.h"
 
@@ -61,36 +51,11 @@ Hello MakeHello(const Bytes& secret, uint8_t role, uint32_t first_id, uint32_t c
                 uint64_t nonce);
 bool VerifyHello(const Bytes& secret, const Hello& hello);
 
-struct SchedSubmit {
-  uint32_t client_id = 0;
-  Bytes row;  // SerializeCiphertextRow(group, {EncryptPseudonymKey(...)})
-};
-
-struct SchedRosterEntry {
-  uint32_t client_id = 0;
-  Bytes row;
-};
-
-struct SchedRoster {
-  uint32_t server_id = 0;
-  std::vector<SchedRosterEntry> entries;  // strictly increasing client_id
-};
-
-struct SchedMix {
-  uint32_t server_id = 0;
-  Bytes step;  // SerializeMixStep(group, step)
-};
-
-struct SchedKeys {
-  std::vector<Bytes> keys;  // fixed-width group elements, slot order
-};
-
-using NetMessage = std::variant<Hello, SchedSubmit, SchedRoster, SchedMix, SchedKeys>;
+using NetMessage = std::variant<Hello>;
 
 Bytes SerializeNet(const NetMessage& msg);
-// Hostile-hardened: bounds every count by the remaining input before
-// allocating, requires canonical (fully consumed) encodings, and enforces
-// the roster's strict client_id ordering.
+// Hostile-hardened: requires a canonical (fully consumed) encoding with a
+// full-length mac.
 std::optional<NetMessage> ParseNet(const Bytes& data);
 
 // True when a framed payload should be parsed with this codec rather than

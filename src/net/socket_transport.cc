@@ -21,8 +21,6 @@ namespace net {
 
 namespace {
 
-constexpr uint32_t kSnapshotMagic = 0x504e5344;  // "DSNP"
-constexpr uint8_t kSnapshotVersion = 1;
 // Backpressure guard: a peer that never drains lets the write queue grow;
 // past this the connection is torn down (the mailbox re-delivers protocol
 // frames on the replacement).
@@ -279,9 +277,9 @@ void Connection::Close() {
 
 ServerNode::ServerNode(EventLoop* loop, DeployConfig cfg, size_t index)
     : loop_(loop), cfg_(std::move(cfg)), index_(index) {
-  std::vector<BigInt> client_privs;
-  def_ = BuildDeployGroup(cfg_, &server_privs_, &client_privs);
-  priv_ = server_privs_[index_];
+  std::vector<BigInt> server_privs;
+  def_ = BuildDeployGroup(cfg_, &server_privs, nullptr);
+  priv_ = server_privs[index_];
   secret_ = SessionSecret(cfg_.seed, def_.Id());
   for (size_t i = 0; i < cfg_.num_clients; ++i) {
     const size_t h = i / cfg_.clients_per_host;
@@ -296,12 +294,26 @@ ServerNode::ServerNode(EventLoop* loop, DeployConfig cfg, size_t index)
   for (size_t j = 0; j < cfg_.num_servers; ++j) {
     dial_jitter_[j] = JitterSeed(cfg_.seed, index_, j);
   }
-  rosters_.resize(cfg_.num_servers);
-  mix_steps_.resize(cfg_.num_servers);
-  logic_ = std::make_unique<DissentServer>(
-      def_, index_, priv_, DeployNodeRng(cfg_, DeployRngKind::kServerLogic, index_),
-      std::max<size_t>(cfg_.pipeline_depth, 1));
+  BuildEngine(DeployNodeRng(cfg_, DeployRngKind::kServerLogic, index_));
+}
+
+void ServerNode::BuildEngine(SecureRng logic_rng) {
+  logic_ = std::make_unique<DissentServer>(def_, index_, priv_, std::move(logic_rng),
+                                           std::max<size_t>(cfg_.pipeline_depth, 1));
   logic_->SetEvidenceRounds(cfg_.evidence_rounds);
+  ServerEngine::Config ec;
+  ec.window_fraction = cfg_.window_fraction;
+  ec.window_multiplier = cfg_.window_multiplier;
+  ec.hard_deadline_us = cfg_.hard_deadline_us;
+  ec.adaptive_window = false;
+  ec.pipeline_depth = std::max<size_t>(cfg_.pipeline_depth, 1);
+  ec.attached_clients = attached_;
+  ec.reliability = cfg_.reliability;
+  ec.output_history = cfg_.output_history;
+  ec.abort_deadline_us = cfg_.abort_deadline_us;
+  ec.abort_agreement = cfg_.abort_agreement;
+  engine_ = std::make_unique<ServerEngine>(
+      logic_.get(), def_, ec, DeployNodeRng(cfg_, DeployRngKind::kServerSched, index_));
 }
 
 ServerNode::~ServerNode() {
@@ -347,9 +359,9 @@ void ServerNode::Start() {
       DialSibling(j);
     }
   }
-  // A server with no attached clients waits on zero submissions: its
-  // (empty) roster is ready immediately and nothing else would trigger it.
-  MaybeBuildOwnRoster();
+  if (!restored_) {
+    Dispatch(engine_->StartSession(loop_->NowUs()));
+  }
 }
 
 Connection* ServerNode::AdoptInbound(int fd) {
@@ -431,41 +443,8 @@ void ServerNode::OnSiblingConnected(size_t j) {
                                  nonce)));
   // Only now may protocol frames flow: anything queued while the dial was
   // still in flight would have preceded the hello and been dropped as
-  // unauthenticated by the sibling.
+  // unauthenticated by the sibling (the reliable mailbox re-sends it).
   c->greeted = true;
-  SendSchedStateTo(j);
-}
-
-void ServerNode::SendSchedStateTo(size_t j) {
-  // A redial during scheduling must replay our own contributions: the
-  // receiver's first-write-wins slots make this idempotent. Engine traffic
-  // needs no replay here — the reliable mailbox re-sends it.
-  Connection* c = sibling_out_[j];
-  if (c == nullptr || restored_) {
-    return;
-  }
-  if (own_roster_sent_ && rosters_[index_].has_value()) {
-    c->Send(SerializeNet(NetMessage{*rosters_[index_]}));
-  }
-  if (own_step_sent_ && mix_steps_[index_].has_value()) {
-    c->Send(SerializeNet(
-        NetMessage{SchedMix{static_cast<uint32_t>(index_), *mix_steps_[index_]}}));
-  }
-}
-
-void ServerNode::SendToSibling(size_t j, const Bytes& payload) {
-  if (sibling_out_[j] != nullptr && sibling_out_[j]->greeted) {
-    sibling_out_[j]->Send(payload);
-  }
-}
-
-void ServerNode::BroadcastToSiblings(const Bytes& payload) {
-  auto framed = Connection::Frame(payload);
-  for (size_t j = 0; j < cfg_.num_servers; ++j) {
-    if (j != index_ && sibling_out_[j] != nullptr && sibling_out_[j]->greeted) {
-      sibling_out_[j]->SendFramed(framed);
-    }
-  }
 }
 
 void ServerNode::OnFrame(Connection* conn, Bytes payload) {
@@ -475,7 +454,7 @@ void ServerNode::OnFrame(Connection* conn, Bytes payload) {
       DropConnection(conn);
       return;
     }
-    OnNetMessage(conn, std::move(*msg));
+    HandleHello(conn, std::get<Hello>(*msg));
     return;
   }
   if (!conn->identified) {
@@ -487,57 +466,6 @@ void ServerNode::OnFrame(Connection* conn, Bytes payload) {
     return;
   }
   OnWireMessage(conn, std::move(msg));
-}
-
-void ServerNode::OnNetMessage(Connection* conn, NetMessage msg) {
-  if (auto* hello = std::get_if<Hello>(&msg)) {
-    HandleHello(conn, *hello);
-    return;
-  }
-  if (!conn->identified) {
-    DropConnection(conn);
-    return;
-  }
-  if (restored_) {
-    return;  // session already live; scheduling frames are stale chatter
-  }
-  if (auto* submit = std::get_if<SchedSubmit>(&msg)) {
-    if (conn->peer_role != Hello::kClientHost || submit->client_id < conn->first_id ||
-        submit->client_id >= conn->first_id + conn->id_count) {
-      return;
-    }
-    sched_rows_.emplace(submit->client_id, std::move(submit->row));  // first write wins
-    MaybeBuildOwnRoster();
-    return;
-  }
-  if (auto* roster = std::get_if<SchedRoster>(&msg)) {
-    const uint32_t j = roster->server_id;
-    if (conn->peer_role != Hello::kServer || conn->first_id != j || j >= cfg_.num_servers ||
-        rosters_[j].has_value()) {
-      return;
-    }
-    // Every roster entry must actually attach to the claiming server.
-    for (const auto& e : roster->entries) {
-      if (e.client_id >= cfg_.num_clients ||
-          cfg_.host_upstream(e.client_id / cfg_.clients_per_host) != j) {
-        return;
-      }
-    }
-    rosters_[j] = std::move(*roster);
-    MaybeAssembleMatrix();
-    return;
-  }
-  if (auto* mix = std::get_if<SchedMix>(&msg)) {
-    const uint32_t j = mix->server_id;
-    if (conn->peer_role != Hello::kServer || conn->first_id != j || j >= cfg_.num_servers ||
-        mix_steps_[j].has_value()) {
-      return;
-    }
-    mix_steps_[j] = std::move(mix->step);
-    TryAdvanceCascade();
-    return;
-  }
-  // SchedKeys is server->client-host only; ignore here.
 }
 
 void ServerNode::HandleHello(Connection* conn, const Hello& hello) {
@@ -572,9 +500,6 @@ void ServerNode::HandleHello(Connection* conn, const Hello& hello) {
       client_conn_[i] = conn;
     }
     host_conns_.insert(conn);
-    if (keys_ready_ && sched_keys_frame_ != nullptr) {
-      conn->SendFramed(sched_keys_frame_);
-    }
   }
   conn->identified = true;
   conn->peer_role = hello.role;
@@ -582,223 +507,22 @@ void ServerNode::HandleHello(Connection* conn, const Hello& hello) {
   conn->id_count = hello.count;
 }
 
-void ServerNode::MaybeBuildOwnRoster() {
-  if (own_roster_sent_ || keys_ready_ || sched_rows_.size() < attached_.size()) {
-    return;
-  }
-  SchedRoster roster;
-  roster.server_id = static_cast<uint32_t>(index_);
-  for (const auto& [id, row] : sched_rows_) {  // map order: strictly increasing
-    roster.entries.push_back(SchedRosterEntry{id, row});
-  }
-  rosters_[index_] = roster;
-  own_roster_sent_ = true;
-  BroadcastToSiblings(SerializeNet(NetMessage{std::move(roster)}));
-  MaybeAssembleMatrix();
-}
-
-void ServerNode::MaybeAssembleMatrix() {
-  if (keys_ready_ || !submissions_.empty() ||
-      !std::all_of(rosters_.begin(), rosters_.end(),
-                   [](const auto& r) { return r.has_value(); })) {
-    return;
-  }
-  std::map<uint32_t, const Bytes*> merged;
-  for (const auto& r : rosters_) {
-    for (const auto& e : r->entries) {
-      merged[e.client_id] = &e.row;
-    }
-  }
-  if (merged.size() != cfg_.num_clients) {
-    std::fprintf(stderr, "server %zu: scheduling roster incomplete (%zu/%zu)\n", index_,
-                 merged.size(), cfg_.num_clients);
-    return;
-  }
-  submissions_.reserve(cfg_.num_clients);
-  for (const auto& [id, row] : merged) {
-    auto parsed = ParseCiphertextRow(*def_.group, *row, 1);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "server %zu: malformed submission from client %u\n", index_, id);
-      submissions_.clear();
-      return;
-    }
-    submissions_.push_back(std::move(*parsed));
-  }
-  cascade_ = submissions_;
-  TryAdvanceCascade();
-}
-
-void ServerNode::TryAdvanceCascade() {
-  if (submissions_.empty() || keys_ready_) {
-    return;
-  }
-  while (steps_applied_ < cfg_.num_servers) {
-    const size_t j = steps_applied_;
-    if (j == index_ && !own_step_sent_) {
-      SecureRng rng = DeployNodeRng(cfg_, DeployRngKind::kServerSched, index_);
-      MixStep step = KeyShuffleMixStep(def_, index_, priv_, cascade_, rng);
-      Bytes serialized = SerializeMixStep(*def_.group, step);
-      mix_steps_[index_] = serialized;
-      own_step_sent_ = true;
-      BroadcastToSiblings(
-          SerializeNet(NetMessage{SchedMix{static_cast<uint32_t>(index_), serialized}}));
-      cascade_ = step.decrypted;
-      verified_steps_.push_back(std::move(step));
-      ++steps_applied_;
-      continue;
-    }
-    if (j != index_ && mix_steps_[j].has_value()) {
-      auto step = ParseMixStep(*def_.group, *mix_steps_[j]);
-      if (!step.has_value() || !VerifyMixStep(def_, j, cascade_, *step)) {
-        std::fprintf(stderr, "server %zu: mix step %zu failed verification\n", index_, j);
-        mix_steps_[j].reset();  // a replay may still deliver an honest one
-        return;
-      }
-      cascade_ = step->decrypted;
-      verified_steps_.push_back(std::move(*step));
-      ++steps_applied_;
-      continue;
-    }
-    return;  // waiting on an earlier server's step
-  }
-  std::vector<BigInt> keys;
-  keys.reserve(cascade_.size());
-  for (const auto& row : cascade_) {
-    keys.push_back(row[0].b);
-  }
-  if (cfg_.verify_cascade) {
-    ShuffleCascadeResult result;
-    result.final_rows = cascade_;
-    result.steps = verified_steps_;
-    if (!VerifyShuffleCascade(def_, submissions_, result)) {
-      std::fprintf(stderr, "server %zu: full cascade re-verification failed\n", index_);
-      return;
-    }
-  }
-  FinishScheduling(std::move(keys));
-}
-
-void ServerNode::FinishScheduling(std::vector<BigInt> keys) {
-  pseudonym_keys_ = std::move(keys);
-  logic_->SetPseudonymKeys(pseudonym_keys_);
-  logic_->BeginSlots(cfg_.num_clients);
-  InstallEngine();
-  session_start_us_ = loop_->NowUs();
-  last_round_us_ = session_start_us_;
-  Dispatch(engine_->StartSession(session_start_us_));
-  // Only now may clients learn their slots: our engine is live, so the
-  // submissions the keys trigger land in an open round.
-  SchedKeys msg;
-  msg.keys.reserve(pseudonym_keys_.size());
-  for (const auto& k : pseudonym_keys_) {
-    msg.keys.push_back(def_.group->ElementToBytes(k));
-  }
-  sched_keys_frame_ = Connection::Frame(SerializeNet(NetMessage{std::move(msg)}));
-  keys_ready_ = true;
-  SendToHosts(sched_keys_frame_);
-  // Drop the scheduling scratch matrices; keep our own roster and mix step
-  // so SendSchedStateTo can still replay them to a slow sibling that
-  // reconnects before finishing its cascade.
-  sched_rows_.clear();
-  submissions_.clear();
-  cascade_.clear();
-  verified_steps_.clear();
-}
-
-ServerEngine::Config ServerNode::EngineConfig() const {
-  ServerEngine::Config ec;
-  ec.window_fraction = cfg_.window_fraction;
-  ec.window_multiplier = cfg_.window_multiplier;
-  ec.hard_deadline_us = cfg_.hard_deadline_us;
-  ec.adaptive_window = false;
-  ec.pipeline_depth = std::max<size_t>(cfg_.pipeline_depth, 1);
-  ec.attached_clients = attached_;
-  ec.reliability = cfg_.reliability;
-  ec.output_history = cfg_.output_history;
-  ec.abort_deadline_us = cfg_.abort_deadline_us;
-  ec.abort_agreement = cfg_.abort_agreement;
-  return ec;
-}
-
-void ServerNode::InstallEngine() {
-  engine_ = std::make_unique<ServerEngine>(logic_.get(), def_, EngineConfig());
-}
-
-Bytes ServerNode::SnapshotBytes() const {
-  if (engine_ == nullptr) {
-    return {};
-  }
-  Writer w;
-  w.U32(kSnapshotMagic);
-  w.U8(kSnapshotVersion);
-  w.U32(static_cast<uint32_t>(pseudonym_keys_.size()));
-  for (const auto& k : pseudonym_keys_) {
-    w.Blob(def_.group->ElementToBytes(k));
-  }
-  w.Blob(engine_->SerializeSnapshot());
-  return w.Take();
-}
+Bytes ServerNode::SnapshotBytes() const { return engine_->SerializeSnapshot(); }
 
 bool ServerNode::RestoreFromSnapshot(const Bytes& snapshot) {
-  Reader r(snapshot);
-  uint32_t magic;
-  uint8_t version;
-  uint32_t nkeys;
-  if (!r.U32(&magic) || magic != kSnapshotMagic || !r.U8(&version) ||
-      version != kSnapshotVersion || !r.U32(&nkeys) || nkeys != cfg_.num_clients) {
-    return false;
-  }
-  std::vector<BigInt> keys;
-  keys.reserve(nkeys);
-  for (uint32_t i = 0; i < nkeys; ++i) {
-    Bytes kb;
-    if (!r.Blob(&kb)) {
-      return false;
-    }
-    auto k = def_.group->ElementFromBytes(kb);
-    if (!k.has_value()) {
-      return false;
-    }
-    keys.push_back(std::move(*k));
-  }
-  Bytes engine_state;
-  if (!r.Blob(&engine_state) || !r.AtEnd()) {
-    return false;
-  }
   // Fresh logic; RestoreState (inside RestoreSnapshot) reseeds its rng
   // deterministically from the state bytes, so the seed here is irrelevant.
-  logic_ = std::make_unique<DissentServer>(def_, index_, priv_,
-                                           SecureRng::FromLabel(0x52455354u ^ index_),
-                                           std::max<size_t>(cfg_.pipeline_depth, 1));
-  logic_->SetEvidenceRounds(cfg_.evidence_rounds);
-  logic_->SetPseudonymKeys(keys);
-  logic_->BeginSlots(cfg_.num_clients);
-  pseudonym_keys_ = std::move(keys);
-  InstallEngine();
-  auto actions = engine_->RestoreSnapshot(engine_state, loop_->NowUs());
+  BuildEngine(SecureRng::FromLabel(0x52455354u ^ index_));
+  auto actions = engine_->RestoreSnapshot(snapshot, loop_->NowUs());
   if (!actions.has_value()) {
-    engine_.reset();
     return false;
   }
   restored_ = true;
-  session_start_us_ = loop_->NowUs();
-  last_round_us_ = session_start_us_;
-  SchedKeys msg;
-  for (const auto& k : pseudonym_keys_) {
-    msg.keys.push_back(def_.group->ElementToBytes(k));
-  }
-  sched_keys_frame_ = Connection::Frame(SerializeNet(NetMessage{std::move(msg)}));
-  keys_ready_ = true;
   Dispatch(std::move(*actions));
   return true;
 }
 
 void ServerNode::OnWireMessage(Connection* conn, std::shared_ptr<const WireMessage> msg) {
-  if (engine_ == nullptr) {
-    // Scheduling still in flight locally; a faster sibling's engine frames
-    // are dropped here and healed by its reliable mailbox.
-    return;
-  }
   Peer peer;
   if (conn->peer_role == Hello::kServer) {
     peer = ServerPeer(conn->first_id);
@@ -874,10 +598,17 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
   for (const TimerRequest& t : actions.timers) {
     auto alive = alive_guard_;
     loop_->ScheduleAfter(t.delay_us, [this, alive, token = t.token] {
-      if (*alive && engine_ != nullptr) {
+      if (*alive) {
         Dispatch(engine_->HandleTimer(token, loop_->NowUs()));
       }
     });
+  }
+  if (session_start_us_ < 0 && engine_->session_live()) {
+    session_start_us_ = last_round_us_ = loop_->NowUs();
+  }
+  while (rejected_reported_ < engine_->rejected_mix_steps().size()) {
+    std::fprintf(stderr, "server %zu: mix step %u failed verification\n", index_,
+                 engine_->rejected_mix_steps()[rejected_reported_++]);
   }
   for (const ServerEngine::RoundDone& done : actions.done) {
     last_round_us_ = loop_->NowUs();
@@ -885,8 +616,7 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
       on_round(done);
     }
   }
-  if (!target_reported_ && engine_ != nullptr && cfg_.rounds > 0 &&
-      engine_->rounds_completed() >= cfg_.rounds) {
+  if (!target_reported_ && cfg_.rounds > 0 && engine_->rounds_completed() >= cfg_.rounds) {
     target_reported_ = true;
     if (on_target_rounds) {
       on_target_rounds();
@@ -894,42 +624,9 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
   }
 }
 
-uint64_t ServerNode::rounds_completed() const {
-  return engine_ == nullptr ? 0 : engine_->rounds_completed();
-}
-
-uint64_t ServerNode::retransmits() const {
-  return engine_ == nullptr ? 0 : engine_->retransmits();
-}
-
-uint64_t ServerNode::pipelined_submissions() const {
-  return engine_ == nullptr ? 0 : engine_->pipelined_submissions();
-}
-
-bool ServerNode::halted() const { return engine_ != nullptr && engine_->halted(); }
-
-uint64_t ServerNode::reliable_sent() const {
-  return engine_ == nullptr ? 0 : engine_->reliable_sent();
-}
-
-uint64_t ServerNode::duplicates_dropped() const {
-  return engine_ == nullptr ? 0 : engine_->duplicates_dropped();
-}
-
-uint64_t ServerNode::max_in_flight() const {
-  return engine_ == nullptr ? 0 : engine_->max_in_flight();
-}
-
-uint64_t ServerNode::rounds_aborted() const {
-  return engine_ == nullptr ? 0 : engine_->rounds_aborted();
-}
-
-uint64_t ServerNode::catch_up_rounds() const {
-  return engine_ == nullptr ? 0 : engine_->catch_up_rounds();
-}
-
 double ServerNode::elapsed_seconds() const {
-  return static_cast<double>(last_round_us_ - session_start_us_) / 1e6;
+  return session_start_us_ < 0 ? 0.0
+                               : static_cast<double>(last_round_us_ - session_start_us_) / 1e6;
 }
 
 // ---------------------------------------------------------------------------
@@ -956,13 +653,8 @@ ClientHostNode::ClientHostNode(EventLoop* loop, DeployConfig cfg, size_t host_in
     ec.auto_submit = true;
     ec.reliability = cfg_.reliability;
     ec.resync_timeout_us = cfg_.resync_timeout_us;
-    engines_.push_back(std::make_unique<ClientEngine>(logic_.back().get(), def_, ec));
-    // The scheduling submission draws its encryption randomness exactly
-    // once, here — a reconnect must replay the identical row or the cascade
-    // would diverge from the reference discipline.
-    SecureRng rng = DeployNodeRng(cfg_, DeployRngKind::kClientSched, i);
-    sched_rows_.push_back(SerializeCiphertextRow(
-        *def_.group, EncryptPseudonymKey(def_, logic_.back()->pseudonym().pub, rng)));
+    engines_.push_back(std::make_unique<ClientEngine>(
+        logic_.back().get(), def_, ec, DeployNodeRng(cfg_, DeployRngKind::kClientSched, i)));
   }
 }
 
@@ -990,10 +682,12 @@ void ClientHostNode::OnConnected() {
                                  static_cast<uint32_t>(first_),
                                  static_cast<uint32_t>(count_), nonce)));
   c->greeted = true;
-  if (!slots_assigned_) {
-    for (size_t k = 0; k < count_; ++k) {
-      c->Send(SerializeNet(
-          NetMessage{SchedSubmit{static_cast<uint32_t>(first_ + k), sched_rows_[k]}}));
+  // The first connection starts the session: each engine sends its
+  // scheduling row (later redials leave re-sending to the mailbox).
+  if (!started_) {
+    started_ = true;
+    for (size_t local = 0; local < engines_.size(); ++local) {
+      Dispatch(local, engines_[local]->StartSession(loop_->NowUs()));
     }
   }
 }
@@ -1017,15 +711,6 @@ void ClientHostNode::OnClosed() {
 }
 
 void ClientHostNode::OnFrame(Bytes payload) {
-  if (IsNetFrame(payload)) {
-    auto msg = ParseNet(payload);
-    if (msg.has_value()) {
-      if (auto* keys = std::get_if<SchedKeys>(&*msg)) {
-        HandleSchedKeys(*keys);
-      }
-    }
-    return;
-  }
   auto msg = ParseWireShared(payload);
   if (msg == nullptr) {
     return;
@@ -1051,39 +736,12 @@ void ClientHostNode::OnFrame(Bytes payload) {
   if (!std::holds_alternative<wire::Output>(*msg) &&
       !std::holds_alternative<wire::BlameStart>(*msg) &&
       !std::holds_alternative<wire::BlameVerdict>(*msg) &&
-      !std::holds_alternative<wire::RoundSummary>(*msg)) {
+      !std::holds_alternative<wire::RoundSummary>(*msg) &&
+      !std::holds_alternative<wire::SlotKeys>(*msg)) {
     return;
   }
   for (size_t local = 0; local < engines_.size(); ++local) {
     Dispatch(local, engines_[local]->HandleMessage(peer, *msg, loop_->NowUs()));
-  }
-}
-
-void ClientHostNode::HandleSchedKeys(const SchedKeys& msg) {
-  if (slots_assigned_ || msg.keys.size() != cfg_.num_clients) {
-    return;
-  }
-  std::vector<BigInt> keys;
-  keys.reserve(msg.keys.size());
-  for (const auto& kb : msg.keys) {
-    auto k = def_.group->ElementFromBytes(kb);
-    if (!k.has_value()) {
-      return;
-    }
-    keys.push_back(std::move(*k));
-  }
-  for (size_t local = 0; local < logic_.size(); ++local) {
-    auto it = std::find(keys.begin(), keys.end(), logic_[local]->pseudonym().pub);
-    if (it == keys.end()) {
-      std::fprintf(stderr, "client host %zu: own pseudonym missing from key order\n", host_);
-      return;
-    }
-    logic_[local]->AssignSlot(static_cast<size_t>(it - keys.begin()), keys.size());
-  }
-  slots_assigned_ = true;
-  const int64_t now = loop_->NowUs();
-  for (size_t local = 0; local < engines_.size(); ++local) {
-    Dispatch(local, engines_[local]->StartSession(now));
   }
 }
 

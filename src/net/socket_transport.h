@@ -19,18 +19,16 @@
 //     (net_wire.h); the claimed id range then bounds every claimed client
 //     id on that connection, mirroring NetDissent's machine-hosting check.
 //
-// Scheduling (§3.10) runs as a transport-level pre-engine phase over the
-// same sockets: SchedSubmit -> SchedRoster gossip -> SchedMix cascade in
-// server order (each step proof-verified as it applies) -> SchedKeys to the
-// attached client hosts. Only after the cascade verifies does a server
-// construct its engine and open round 1, so no engine ever sees a frame for
-// a session that does not yet exist on its own side; frames from faster
-// siblings that arrive before scheduling finishes locally are dropped and
-// healed by the mailbox.
+// Scheduling (§3.10) is the engines' first sub-phase, so its frames are
+// ordinary engine traffic: each ServerNode builds its engine at
+// construction, a client host starts its engines (which send their
+// scheduling rows) on its first connection, and the mailbox heals what a
+// redial loses. The per-node scheduling rngs are net::DeployNodeRng's, so
+// the key order equals the sim reference's (DistributedCascadeKeys).
 //
-// Crash recovery: SnapshotBytes() captures the pseudonym keys plus the
-// engine snapshot (PR 6); a new ServerNode restores with
-// RestoreFromSnapshot *instead of* the scheduling phase and resumes
+// Crash recovery: SnapshotBytes() is the engine snapshot (keys included,
+// or the scheduling shuffle so far); a new ServerNode restores with
+// RestoreFromSnapshot instead of starting a session and resumes
 // byte-identically — dissentd wires this to SIGTERM + a state file.
 #ifndef DISSENT_NET_SOCKET_TRANSPORT_H_
 #define DISSENT_NET_SOCKET_TRANSPORT_H_
@@ -89,8 +87,7 @@ class Connection {
   // Identity established by the hello handshake (owner-managed).
   // `greeted` is the *outbound* side: set once our own hello has been
   // queued, so no protocol frame can precede it on the wire. Frames the
-  // owner suppresses while !greeted are healed by the reliable mailbox
-  // (engine traffic) or SendSchedStateTo replay (scheduling).
+  // owner suppresses while !greeted are healed by the reliable mailbox.
   bool greeted = false;
   bool identified = false;
   uint8_t peer_role = 0;
@@ -120,7 +117,7 @@ class Connection {
 };
 
 // One dissent server over real sockets: accepts sibling and client-host
-// connections, runs the scheduling phase, then drives a ServerEngine.
+// connections and drives a ServerEngine (scheduling sub-phase included).
 class ServerNode {
  public:
   ServerNode(EventLoop* loop, DeployConfig cfg, size_t index);
@@ -128,34 +125,34 @@ class ServerNode {
 
   // Binds and listens on cfg.server_port(index). False on bind failure.
   bool Listen();
-  // Begins dialing siblings and (unless restored) collecting scheduling
-  // submissions. Call after Listen and, when restoring, after
+  // Begins dialing siblings and (unless restored) starts the engine's
+  // session. Call after Listen and, when restoring, after
   // RestoreFromSnapshot.
   void Start();
 
   // --- crash recovery ---
-  // Full durable state: pseudonym keys + engine snapshot. Empty until
-  // scheduling has finished (there is no session to preserve yet).
+  // Full durable state: the engine snapshot.
   Bytes SnapshotBytes() const;
-  // Rebuilds the session from a snapshot instead of running scheduling.
+  // Rebuilds the session from a snapshot instead of starting one.
   bool RestoreFromSnapshot(const Bytes& snapshot);
   bool restored() const { return restored_; }
 
   // --- observability ---
-  bool session_started() const { return engine_ != nullptr; }
-  uint64_t rounds_completed() const;
-  uint64_t retransmits() const;
-  uint64_t pipelined_submissions() const;
-  bool halted() const;
+  // True once scheduling has verified and round 1 is open.
+  bool session_started() const { return engine_->session_live(); }
+  uint64_t rounds_completed() const { return engine_->rounds_completed(); }
+  uint64_t retransmits() const { return engine_->retransmits(); }
+  uint64_t pipelined_submissions() const { return engine_->pipelined_submissions(); }
+  bool halted() const { return engine_->halted(); }
   // ReliableMailbox health (PR 8): first-time wraps, duplicate deliveries
   // shed, and the peak unacked backlog across all links.
-  uint64_t reliable_sent() const;
-  uint64_t duplicates_dropped() const;
-  uint64_t max_in_flight() const;
+  uint64_t reliable_sent() const { return engine_->reliable_sent(); }
+  uint64_t duplicates_dropped() const { return engine_->duplicates_dropped(); }
+  uint64_t max_in_flight() const { return engine_->max_in_flight(); }
   // Abort agreement / re-admission: certificate-retired rounds and rounds
   // re-applied from sibling history after a stale-snapshot restore.
-  uint64_t rounds_aborted() const;
-  uint64_t catch_up_rounds() const;
+  uint64_t rounds_aborted() const { return engine_->rounds_aborted(); }
+  uint64_t catch_up_rounds() const { return engine_->catch_up_rounds(); }
   // Wall-clock seconds from session start (or restore) to now/last round.
   double elapsed_seconds() const;
   // Per-round callback (round, RoundDone) — dissentd's cleartext log.
@@ -169,32 +166,20 @@ class ServerNode {
   Connection* AdoptInbound(int fd);
   void DropConnection(Connection* conn);
   void OnFrame(Connection* conn, Bytes payload);
-  void OnNetMessage(Connection* conn, NetMessage msg);
   void OnWireMessage(Connection* conn, std::shared_ptr<const WireMessage> msg);
   void HandleHello(Connection* conn, const Hello& hello);
-
-  // Scheduling phase.
-  void MaybeBuildOwnRoster();
-  void MaybeAssembleMatrix();
-  void TryAdvanceCascade();
-  void FinishScheduling(std::vector<BigInt> keys);
-  void SendToSibling(size_t j, const Bytes& payload);
-  void BroadcastToSiblings(const Bytes& payload);
-  void SendSchedStateTo(size_t j);
 
   // One frame to every identified client-host connection.
   void SendToHosts(const std::shared_ptr<const Bytes>& frame);
 
-  // Engine plumbing.
+  // Engine plumbing: a fresh logic + engine over `logic_rng`.
+  void BuildEngine(SecureRng logic_rng);
   void Dispatch(ServerEngine::Actions actions);
-  void InstallEngine();
-  ServerEngine::Config EngineConfig() const;
 
   EventLoop* loop_;
   DeployConfig cfg_;
   size_t index_;
   GroupDef def_;
-  std::vector<BigInt> server_privs_;  // only [index_] is used for mixing
   BigInt priv_;
   Bytes secret_;
   std::vector<uint32_t> attached_;  // client ids attached to this server
@@ -213,24 +198,11 @@ class ServerNode {
   std::map<uint32_t, Connection*> client_conn_;  // client id -> host conn
   std::set<Connection*> host_conns_;       // identified client-host conns
 
-  // Scheduling state (inert when restored_).
-  std::map<uint32_t, Bytes> sched_rows_;  // attached client -> submitted row
-  std::vector<std::optional<SchedRoster>> rosters_;
-  std::vector<std::optional<Bytes>> mix_steps_;  // serialized, per server
-  CiphertextMatrix submissions_;   // merged, client-id order
-  CiphertextMatrix cascade_;       // current matrix as steps apply
-  std::vector<MixStep> verified_steps_;  // kept for verify_cascade
-  size_t steps_applied_ = 0;
-  bool own_roster_sent_ = false;
-  bool own_step_sent_ = false;
-  bool keys_ready_ = false;
-  std::shared_ptr<const Bytes> sched_keys_frame_;  // framed SchedKeys
-
   std::unique_ptr<DissentServer> logic_;
   std::unique_ptr<ServerEngine> engine_;
-  std::vector<BigInt> pseudonym_keys_;
   bool restored_ = false;
-  int64_t session_start_us_ = 0;
+  size_t rejected_reported_ = 0;  // scheduling mix steps logged so far
+  int64_t session_start_us_ = -1;  // when the session went live (or restored)
   int64_t last_round_us_ = 0;
   bool target_reported_ = false;
   // Timer lambdas outlive `this` when a node is torn down mid-run (the
@@ -253,7 +225,6 @@ class ClientHostNode {
   // Hosted client `local` (0-based within this host) — the binary queues
   // application payloads here before Start().
   DissentClient& client_logic(size_t local) { return *logic_[local]; }
-  bool slots_assigned() const { return slots_assigned_; }
   // Smallest contiguous output round every hosted engine has processed.
   uint64_t min_delivered_round() const;
   uint64_t retransmits() const;
@@ -265,7 +236,6 @@ class ClientHostNode {
   void OnConnected();
   void OnClosed();
   void OnFrame(Bytes payload);
-  void HandleSchedKeys(const SchedKeys& msg);
   void Dispatch(size_t local, ClientEngine::Actions actions);
 
   EventLoop* loop_;
@@ -284,10 +254,7 @@ class ClientHostNode {
 
   std::vector<std::unique_ptr<DissentClient>> logic_;
   std::vector<std::unique_ptr<ClientEngine>> engines_;
-  // Cached scheduling submissions: the encryption randomness is drawn once
-  // at construction, so a reconnect replays byte-identical rows.
-  std::vector<Bytes> sched_rows_;
-  bool slots_assigned_ = false;
+  bool started_ = false;  // engines started on the first connection
   std::shared_ptr<bool> alive_guard_ = std::make_shared<bool>(true);
 };
 

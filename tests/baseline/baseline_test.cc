@@ -1,9 +1,7 @@
-// Baselines: classic all-pairs DC-net correctness + cost model, and the
-// onion-routing circuit data plane.
+// Baseline: classic all-pairs DC-net correctness + cost model.
 #include <gtest/gtest.h>
 
 #include "src/baseline/allpairs_dcnet.h"
-#include "src/baseline/onion.h"
 
 namespace dissent {
 namespace {
@@ -88,69 +86,6 @@ TEST(AllPairsTest, ExpectedAttemptsGrowWithChurnAndSize) {
   EXPECT_GT(a100, 2.0);
   EXPECT_GT(a1000, 1000.0);
   EXPECT_GT(a1000, a100);
-}
-
-TEST(OnionTest, ThreeHopRoundTrip) {
-  auto g = Group::Named(GroupId::kTesting256);
-  SecureRng rng = SecureRng::FromLabel(80);
-  std::vector<OnionRelay> relays;
-  std::vector<BigInt> pubs;
-  for (int i = 0; i < 3; ++i) {
-    relays.push_back(OnionRelay::Create(*g, rng));
-    pubs.push_back(relays.back().identity.pub);
-  }
-  OnionCircuit circuit(*g, pubs, rng);
-  Bytes payload = BytesOf("GET /index.html");
-  Bytes cell = circuit.WrapForward(1, payload);
-  EXPECT_NE(cell, payload);
-  // Relays peel in order.
-  for (const auto& relay : relays) {
-    cell = relay.PeelForward(*g, circuit.ephemeral_pub(), 1, cell);
-  }
-  EXPECT_EQ(cell, payload);
-  // Reply path: relays wrap in reverse order, client unwraps everything.
-  Bytes reply = BytesOf("HTTP/1.1 200 OK");
-  Bytes back = reply;
-  for (auto it = relays.rbegin(); it != relays.rend(); ++it) {
-    back = it->WrapReply(*g, circuit.ephemeral_pub(), 2, back);
-  }
-  EXPECT_EQ(circuit.UnwrapReply(2, back), reply);
-}
-
-TEST(OnionTest, SingleRelayLearnsNothing) {
-  auto g = Group::Named(GroupId::kTesting256);
-  SecureRng rng = SecureRng::FromLabel(81);
-  std::vector<OnionRelay> relays;
-  std::vector<BigInt> pubs;
-  for (int i = 0; i < 3; ++i) {
-    relays.push_back(OnionRelay::Create(*g, rng));
-    pubs.push_back(relays.back().identity.pub);
-  }
-  OnionCircuit circuit(*g, pubs, rng);
-  Bytes payload = BytesOf("secret request");
-  Bytes cell = circuit.WrapForward(1, payload);
-  // Peeling only the middle or only the exit layer yields garbage.
-  Bytes partial = relays[1].PeelForward(*g, circuit.ephemeral_pub(), 1, cell);
-  EXPECT_NE(partial, payload);
-  partial = relays[2].PeelForward(*g, circuit.ephemeral_pub(), 1, cell);
-  EXPECT_NE(partial, payload);
-  // Even two of three layers peeled (wrong order) don't reveal it.
-  partial = relays[2].PeelForward(*g, circuit.ephemeral_pub(), 1,
-                                  relays[1].PeelForward(*g, circuit.ephemeral_pub(), 1, cell));
-  EXPECT_NE(partial, payload);
-}
-
-TEST(OnionTest, CellIdsSeparateStreams) {
-  auto g = Group::Named(GroupId::kTesting256);
-  SecureRng rng = SecureRng::FromLabel(82);
-  OnionRelay relay = OnionRelay::Create(*g, rng);
-  OnionCircuit circuit(*g, {relay.identity.pub}, rng);
-  Bytes payload = BytesOf("cell payload");
-  Bytes cell1 = circuit.WrapForward(1, payload);
-  Bytes cell2 = circuit.WrapForward(2, payload);
-  EXPECT_NE(cell1, cell2) << "same payload must not repeat on the wire";
-  EXPECT_EQ(relay.PeelForward(*g, circuit.ephemeral_pub(), 2, cell2), payload);
-  EXPECT_NE(relay.PeelForward(*g, circuit.ephemeral_pub(), 1, cell2), payload);
 }
 
 }  // namespace

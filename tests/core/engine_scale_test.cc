@@ -112,37 +112,27 @@ TEST(EngineScaleTest, MachineMultiplexedTopologyPreservesCleartexts) {
 }
 
 TEST(EngineScaleTest, SharedBroadcastMatchesPerClientFramesAtLowerWireCost) {
-  // Same protocol bytes per round either way; the shared-payload path just
-  // stops paying one Output copy per client on the wire.
+  // The engine's one kAttachedClients Output envelope goes out as one frame
+  // per attached machine, never one per client: in steady state a round
+  // sends exactly one ClientSubmit per client, four gossip frames per
+  // ordered server pair, and one Output per machine.
   constexpr uint64_t kSeed = 9003;
-  NetDissent::Options shared;
-  shared.clients_per_machine = 4;
-  auto a = MakeNetWorld(2, 16, kSeed, shared);
-  ASSERT_TRUE(a->net->Start());
-  a->sim.RunUntil(10 * kSecond);
-
-  NetDissent::Options legacy = shared;
-  legacy.shared_broadcast = false;
-  auto b = MakeNetWorld(2, 16, kSeed, legacy);
-  ASSERT_TRUE(b->net->Start());
-  b->sim.RunUntil(10 * kSecond);
-
-  ASSERT_GT(a->net->rounds_completed(), 4u);
-  ASSERT_GT(b->net->rounds_completed(), 4u);
-  size_t common =
-      std::min(a->net->round_cleartexts().size(), b->net->round_cleartexts().size());
-  ASSERT_GT(common, 3u);
-  for (size_t r = 0; r < common; ++r) {
-    EXPECT_EQ(a->net->round_cleartexts()[r], b->net->round_cleartexts()[r]);
-  }
-  // 16 clients on 4 machines: the legacy path sends 4x the Output frames.
-  double a_bytes_per_round =
-      static_cast<double>(a->net->network().bytes_sent()) /
-      static_cast<double>(a->net->rounds_completed());
-  double b_bytes_per_round =
-      static_cast<double>(b->net->network().bytes_sent()) /
-      static_cast<double>(b->net->rounds_completed());
-  EXPECT_LT(a_bytes_per_round, b_bytes_per_round);
+  constexpr size_t kServers = 2, kClients = 16, kMachines = 4;
+  NetDissent::Options options;
+  options.clients_per_machine = kClients / kMachines;
+  auto w = MakeNetWorld(kServers, kClients, kSeed, options);
+  ASSERT_TRUE(w->net->Start());
+  auto frames_at_round = [&](uint64_t round) {
+    while (w->net->rounds_completed() < round && w->sim.pending() > 0) {
+      w->sim.Step();
+    }
+    EXPECT_EQ(w->net->rounds_completed(), round);
+    return w->net->network().messages_sent();
+  };
+  const uint64_t before = frames_at_round(3);
+  const uint64_t after = frames_at_round(8);
+  EXPECT_EQ(after - before, 5 * (kClients + 4 * kServers * (kServers - 1) + kMachines));
+  EXPECT_EQ(w->net->last_participation(), kClients);
 }
 
 TEST(EngineScaleTest, ThousandClientBlameExpelsDisruptorWithoutStallingPipeline) {

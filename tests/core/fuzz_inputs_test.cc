@@ -169,6 +169,12 @@ TEST(FuzzTest, WireMessageParser) {
           8,
           {{true, {}, {0, 1}, {Bytes(72, 2), Bytes(72, 3)}},
            {false, Bytes(64, 0x01), {}, {Bytes(72, 4), Bytes(72, 5)}}}},
+      // The scheduling shuffle: a signed width-1 row, its roster and mix
+      // step under session 0, and the key order it yields.
+      wire::AccusationSubmit{wire::kScheduleSession, 5, Bytes(68, 0x44), Bytes(72, 0x2d)},
+      wire::BlameRoster{wire::kScheduleSession, 1, {{2, Bytes(68, 0x12), Bytes(72, 7)}}},
+      wire::BlameMix{wire::kScheduleSession, 1, Bytes(96, 0x2f)},
+      wire::SlotKeys{{Bytes(32, 5), Bytes(32, 6), Bytes(32, 7)}},
   };
   Rng rng(75);
   for (const WireMessage& seed : seeds) {
@@ -255,6 +261,11 @@ TEST(FuzzTest, WireHostileCountsDoNotAllocate) {
     cert.U64(0);
     cert.U32(hostile);
     EXPECT_FALSE(ParseWire(cert.data()).has_value());
+
+    Writer keys;
+    keys.U8(25);  // SlotKeys claiming 4 billion keys
+    keys.U32(hostile);
+    EXPECT_FALSE(ParseWire(keys.data()).has_value());
 
     Writer batch;
     batch.U8(24);  // ServerCatchUpBatch claiming 4 billion summaries
@@ -574,13 +585,7 @@ TEST(FuzzTest, NetWireParserHammer) {
   const Bytes secret = net::SessionSecret(7, BytesOf("group"));
   std::vector<net::NetMessage> msgs;
   msgs.push_back(net::MakeHello(secret, net::Hello::kClientHost, 12, 3, 99));
-  msgs.push_back(net::SchedSubmit{4, Bytes(64, 0x11)});
-  net::SchedRoster roster;
-  roster.server_id = 2;
-  roster.entries = {{0, Bytes(8, 1)}, {3, Bytes(8, 2)}, {7, Bytes(8, 3)}};
-  msgs.push_back(roster);
-  msgs.push_back(net::SchedMix{1, Bytes(128, 0x22)});
-  msgs.push_back(net::SchedKeys{{Bytes(32, 5), Bytes(32, 6)}});
+  msgs.push_back(net::MakeHello(secret, net::Hello::kServer, 2, 1, 7));
   for (const auto& m : msgs) {
     const Bytes wire = net::SerializeNet(m);
     // Round trip sanity first, then the hostile hammer.
@@ -590,12 +595,6 @@ TEST(FuzzTest, NetWireParserHammer) {
       (void)parsed;  // must not crash, over-allocate, or accept trailing junk
     });
   }
-  // Roster ordering is a parse-level invariant: equal or descending ids in
-  // the encoding must be rejected, not silently reordered.
-  net::SchedRoster bad;
-  bad.server_id = 0;
-  bad.entries = {{5, Bytes(4, 1)}, {5, Bytes(4, 2)}};
-  EXPECT_FALSE(net::ParseNet(net::SerializeNet(net::NetMessage{bad})).has_value());
 }
 
 TEST(FuzzTest, HelloMacRejectsEveryBitFlip) {
