@@ -13,30 +13,37 @@ Bytes Accusation::Canonical() const {
   return w.Take();
 }
 
-Bytes SignedAccusation::Serialize(const Group& group) const {
-  Writer w;
-  w.U64(accusation.round);
-  w.U32(accusation.slot);
-  w.U64(accusation.bit_index);
-  w.Blob(signature.Serialize(group));
-  return w.Take();
+template <class Io>
+bool Fields(Io& io, SignedAccusation& m, const Group& g) {
+  return io.U64(m.accusation.round) && io.U32(m.accusation.slot) &&
+         io.U64(m.accusation.bit_index) &&
+         io.BlobOf(
+             m.signature, [&g](const SchnorrSignature& s) { return s.Serialize(g); },
+             [&g](const Bytes& b) { return SchnorrSignature::Deserialize(g, b); });
 }
+
+template <class Io>
+bool Fields(Io& io, Rebuttal& m, const Group& g) {
+  return io.U32(m.client_index) && io.U32(m.server_index) &&
+         io.BlobOf(
+             m.shared_element, [&g](const BigInt& e) { return g.ElementToBytes(e); },
+             [&g](const Bytes& b) { return g.ElementFromBytes(b); }) &&
+         io.BlobOf(
+             m.proof, [&g](const DleqProof& p) { return p.Serialize(g); },
+             [&g](const Bytes& b) { return DleqProof::Deserialize(g, b); });
+}
+
+Bytes SignedAccusation::Serialize(const Group& group) const { return Encode(*this, group); }
 
 std::optional<SignedAccusation> SignedAccusation::Deserialize(const Group& group,
                                                               const Bytes& data) {
-  Reader r(data);
-  SignedAccusation out;
-  Bytes sig_bytes;
-  if (!r.U64(&out.accusation.round) || !r.U32(&out.accusation.slot) ||
-      !r.U64(&out.accusation.bit_index) || !r.Blob(&sig_bytes) || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  auto sig = SchnorrSignature::Deserialize(group, sig_bytes);
-  if (!sig.has_value()) {
-    return std::nullopt;
-  }
-  out.signature = *sig;
-  return out;
+  return Decode<SignedAccusation>(data, group);
+}
+
+Bytes Rebuttal::Serialize(const Group& group) const { return Encode(*this, group); }
+
+std::optional<Rebuttal> Rebuttal::Deserialize(const Group& group, const Bytes& data) {
+  return Decode<Rebuttal>(data, group);
 }
 
 Bytes BlameAnswerSigningBytes(uint64_t session, uint32_t client_index, uint64_t round,
@@ -72,36 +79,6 @@ Bytes VerdictSigningBytes(uint64_t session, uint32_t server_index, uint64_t roun
   w.U8(kind);
   w.U32(culprit);
   return w.Take();
-}
-
-Bytes Rebuttal::Serialize(const Group& group) const {
-  Writer w;
-  w.U32(client_index);
-  w.U32(server_index);
-  w.Blob(group.ElementToBytes(shared_element));
-  w.Blob(proof.Serialize(group));
-  return w.Take();
-}
-
-std::optional<Rebuttal> Rebuttal::Deserialize(const Group& group, const Bytes& data) {
-  Reader r(data);
-  Rebuttal out;
-  Bytes elem_bytes, proof_bytes;
-  if (!r.U32(&out.client_index) || !r.U32(&out.server_index) || !r.Blob(&elem_bytes) ||
-      !r.Blob(&proof_bytes) || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  auto elem = group.ElementFromBytes(elem_bytes);
-  if (!elem.has_value()) {
-    return std::nullopt;
-  }
-  out.shared_element = *elem;
-  auto proof = DleqProof::Deserialize(group, proof_bytes);
-  if (!proof.has_value()) {
-    return std::nullopt;
-  }
-  out.proof = *proof;
-  return out;
 }
 
 }  // namespace dissent

@@ -229,72 +229,31 @@ bool ReliableMailbox::HasPending() const {
   return false;
 }
 
-void ReliableMailbox::SerializeTo(Writer& w) const {
-  w.U32(static_cast<uint32_t>(links_.size()));
-  for (const auto& [key, l] : links_) {
-    (void)key;
-    w.U8(static_cast<uint8_t>(l.peer.kind));
-    w.U32(l.peer.index);
-    w.U64(l.next_seq);
-    w.U64(l.cum);
-    w.U32(static_cast<uint32_t>(l.ooo.size()));
-    for (uint64_t s : l.ooo) {
-      w.U64(s);
-    }
-    w.U32(static_cast<uint32_t>(l.pending.size()));
-    for (const auto& [seq, p] : l.pending) {
-      w.U64(seq);
-      w.Blob(SerializeWire(*p.frame));
-    }
-  }
-}
-
-bool ReliableMailbox::RestoreFrom(Reader& r) {
-  links_.clear();
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > (1u << 16)) {
-    return false;
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t kind = 0;
-    uint32_t idx = 0;
-    if (!r.U8(&kind) || kind > static_cast<uint8_t>(Peer::Kind::kAttachedClients) ||
-        !r.U32(&idx)) {
-      return false;
-    }
-    Link& l = LinkFor(Peer{static_cast<Peer::Kind>(kind), idx});
-    uint32_t n_ooo = 0;
-    uint32_t n_pending = 0;
-    if (!r.U64(&l.next_seq) || !r.U64(&l.cum) || !r.U32(&n_ooo) || n_ooo > kRecvWindow) {
-      return false;
-    }
-    for (uint32_t k = 0; k < n_ooo; ++k) {
-      uint64_t s = 0;
-      if (!r.U64(&s)) {
-        return false;
-      }
-      l.ooo.insert(s);
-    }
-    if (!r.U32(&n_pending) || n_pending > kRecvWindow) {
-      return false;
-    }
-    for (uint32_t k = 0; k < n_pending; ++k) {
-      uint64_t seq = 0;
-      Bytes frame;
-      if (!r.U64(&seq) || !r.Blob(&frame)) {
-        return false;
-      }
-      auto parsed = ParseWire(frame);
-      if (!parsed.has_value() || !std::holds_alternative<wire::Reliable>(*parsed)) {
-        return false;
-      }
-      // Due immediately, back at the initial timeout: the restart itself is
-      // the backoff.
-      l.pending.emplace(
-          seq, Pending{std::make_shared<const WireMessage>(std::move(*parsed)), 0, cfg_.rto_us});
-    }
-  }
-  return true;
+template <class Io>
+bool ReliableMailbox::Fields(Io& io) {
+  // A link's key is its peer; pending frames restore due immediately, back
+  // at the initial timeout (the restart itself is the backoff).
+  return io.Sorted(links_, 29, 1u << 16, [&](uint64_t& key, Link& l) {
+    return io.U8(l.peer.kind) && io.Check(l.peer.kind <= Peer::Kind::kAttachedClients) &&
+           io.U32(l.peer.index) && (key = PeerKey(l.peer), true) && io.U64(l.next_seq) &&
+           io.U64(l.cum) &&
+           io.Sorted(l.ooo, 8, kRecvWindow, [&](uint64_t& s) { return io.U64(s); }) &&
+           io.Sorted(l.pending, 12, kRecvWindow, [&](uint64_t& seq, Pending& p) {
+             return io.U64(seq) &&
+                    io.Via([&] { return SerializeWire(*p.frame); },
+                           [&](const Bytes& frame) {
+                             auto parsed = ParseWire(frame);
+                             if (!parsed.has_value() ||
+                                 !std::holds_alternative<wire::Reliable>(*parsed)) {
+                               return false;
+                             }
+                             p = Pending{std::make_shared<const WireMessage>(std::move(*parsed)),
+                                         0, cfg_.rto_us};
+                             return true;
+                           },
+                           [&](Bytes& frame) { return io.Blob(frame); });
+           });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1450,375 +1409,181 @@ bool ServerEngine::TimerStaleAfterRound(uint64_t token, uint64_t round, bool bla
 
 namespace {
 
-void WriteOptionalBlob(Writer& w, const std::optional<Bytes>& v) {
-  w.Bool(v.has_value());
-  if (v.has_value()) {
-    w.Blob(*v);
-  }
-}
-
-bool ReadOptionalBlob(Reader& r, std::optional<Bytes>* v) {
-  bool present = false;
-  if (!r.Bool(&present)) {
-    return false;
-  }
-  if (!present) {
-    v->reset();
-    return true;
-  }
-  Bytes b;
-  if (!r.Blob(&b)) {
-    return false;
-  }
-  *v = std::move(b);
-  return true;
-}
-
 // v2 added the scheduling sub-phase (keys, or the cascade so far); a v1
 // snapshot, whose transport reinstalled the keys, is refused.
 constexpr char kSnapshotMagic[] = "dissent.engine.snap.v2";
+// Cap on the snapshot's buffered-frame and certificate counts.
+constexpr size_t kMaxSnapshotEntries = 1u << 16;
 
-// A roster (or this server's collected rows) as its canonical wire frame.
-Bytes RosterFrame(uint32_t server, std::vector<wire::BlameRosterEntry> entries) {
-  return SerializeWire(wire::BlameRoster{wire::kScheduleSession, server, std::move(entries)});
+// A roster (or this server's collected rows), carried as its canonical wire
+// frame. Reading keeps only the entries.
+template <class Io>
+bool RosterFrame(Io& io, uint32_t server, std::vector<wire::BlameRosterEntry>& entries) {
+  return io.Via(
+      [&] { return wire::BlameRoster{wire::kScheduleSession, server, entries}; },
+      [&](wire::BlameRoster roster) {
+        entries = std::move(roster.entries);
+        return true;
+      },
+      [&](wire::BlameRoster& roster) { return NestedFrame(io, roster); });
 }
 
-bool ParseRosterFrame(const Bytes& frame, std::vector<wire::BlameRosterEntry>* entries) {
-  auto parsed = ParseWire(frame);
-  if (!parsed.has_value() || !std::holds_alternative<wire::BlameRoster>(*parsed)) {
-    return false;
-  }
-  *entries = std::get<wire::BlameRoster>(std::move(*parsed)).entries;
-  return true;
+template <class Io>
+bool OptionalBlob(Io& io, std::optional<Bytes>& v) {
+  return io.Optional(v, [&io](Bytes& b) { return io.Blob(b); });
 }
 
 }  // namespace
 
-Bytes ServerEngine::SerializeSnapshot() const {
-  Writer w;
-  w.Str(kSnapshotMagic);
-  w.Blob(logic_->SerializeState());
-  w.U64(next_round_to_start_);
-  w.U64(next_round_to_finish_);
-  w.U64(rounds_completed_);
-  w.U64(pipelined_submissions_);
-  w.U64(blames_completed_);
-  w.U64(rounds_aborted_);
-  w.U32(static_cast<uint32_t>(last_participation_));
-  w.U32(static_cast<uint32_t>(last_window_observed_));
-  w.U32(static_cast<uint32_t>(expelled_attached_));
-  w.Bool(halted_);
-  // Of the blame machinery only the pending flag survives a crash: a crash
-  // during an *active* instance degrades to the peers' deadlines and an
-  // inconclusive verdict (documented limitation).
-  w.Bool(blame_.pending);
-  w.U64(blame_.session);
-  w.U32(static_cast<uint32_t>(rounds_.size()));
-  for (const RoundState& st : rounds_) {
-    w.U64(st.round);
-    w.Bool(st.active);
-    w.U64(static_cast<uint64_t>(st.started_us));
-    w.Bool(st.window_closed);
-    w.Bool(st.window_timer_armed);
-    w.U64(static_cast<uint64_t>(st.window_close_at_us));
-    w.U32(static_cast<uint32_t>(st.participation));
-    w.Blob(st.cleartext);
-    w.Bool(st.sent_commit);
-    w.Bool(st.sent_ct);
-    w.Bool(st.sent_sig);
-    w.Bool(st.promised_abort);
-    for (const auto& inv : st.inventories) {
-      w.Bool(inv.has_value());
-      if (inv.has_value()) {
-        w.U32(static_cast<uint32_t>(inv->size()));
-        for (uint32_t id : *inv) {
-          w.U32(id);
-        }
+template <class Io>
+bool ServerEngine::SnapshotFields(Io& io) {
+  const auto round_fields = [&](RoundState& st) {
+    const auto optional_blobs = [&](std::vector<std::optional<Bytes>>& v) {
+      return io.Each(v, num_servers_, [&](std::optional<Bytes>& b) { return OptionalBlob(io, b); });
+    };
+    return io.U64(st.round) && io.Bool(st.active) && io.U64(st.started_us) &&
+           io.Bool(st.window_closed) && io.Bool(st.window_timer_armed) &&
+           io.U64(st.window_close_at_us) && io.U32(st.participation) && io.Blob(st.cleartext) &&
+           io.Bool(st.sent_commit) && io.Bool(st.sent_ct) && io.Bool(st.sent_sig) &&
+           io.Bool(st.promised_abort) &&
+           io.Each(st.inventories, num_servers_,
+                   [&](std::optional<std::vector<uint32_t>>& inv) {
+                     return io.Optional(inv, [&](std::vector<uint32_t>& ids) {
+                       return io.Seq(ids, 4, [&](uint32_t& id) { return io.U32(id); });
+                     });
+                   }) &&
+           optional_blobs(st.commits) && optional_blobs(st.server_cts) && optional_blobs(st.sigs);
+  };
+  // Scheduling, once live: the installed keys.
+  const auto keys = [&] {
+    const Group& g = *def_.group;
+    return io.Via(
+        [&] { return logic_->pseudonym_keys(); },
+        [&](std::vector<BigInt> k) {
+          if (k.size() != def_.num_clients()) {
+            return false;
+          }
+          logic_->SetPseudonymKeys(std::move(k));
+          return true;
+        },
+        [&](std::vector<BigInt>& k) {
+          return io.Seq(k, 4, [&](BigInt& key) {
+            return io.BlobOf(
+                key, [&](const BigInt& e) { return g.ElementToBytes(e); },
+                [&](const Bytes& b) { return g.ElementFromBytes(b); });
+          });
+        });
+  };
+  // Scheduling, before that: the cascade so far (rows, rosters and mix
+  // steps; its matrix is re-derived on restore, which needs our rng).
+  const auto cascade = [&] {
+    if (!io.Check(sched_rng_.has_value()) || !io.Bool(cascade_.collecting) ||
+        !io.Via(
+            [&] {
+              std::vector<wire::BlameRosterEntry> rows;
+              for (const auto& [client, row_sig] : cascade_.collected) {
+                rows.push_back({client, row_sig.first, row_sig.second});
+              }
+              return rows;
+            },
+            [&](std::vector<wire::BlameRosterEntry> rows) {
+              for (auto& e : rows) {
+                cascade_.collected.emplace(
+                    e.client_id, std::make_pair(std::move(e.row), std::move(e.signature)));
+              }
+              return true;
+            },
+            [&](std::vector<wire::BlameRosterEntry>& rows) {
+              return RosterFrame(io, static_cast<uint32_t>(index_), rows);
+            })) {
+      return false;
+    }
+    for (size_t j = 0; j < num_servers_; ++j) {
+      if (!io.Optional(cascade_.rosters[j],
+                       [&](std::vector<wire::BlameRosterEntry>& rows) {
+                         return RosterFrame(io, static_cast<uint32_t>(j), rows);
+                       }) ||
+          !OptionalBlob(io, cascade_.mix_steps[j])) {
+        return false;
       }
     }
-    for (const auto& c : st.commits) {
-      WriteOptionalBlob(w, c);
-    }
-    for (const auto& c : st.server_cts) {
-      WriteOptionalBlob(w, c);
-    }
-    for (const auto& s : st.sigs) {
-      WriteOptionalBlob(w, s);
-    }
-  }
-  // Gossip buffered for rounds not yet opened: acked frames peers will
-  // never retransmit, so they must ride the snapshot.
-  w.U32(static_cast<uint32_t>(early_.size()));
-  for (const auto& [round, msgs] : early_) {
-    w.U64(round);
-    w.U32(static_cast<uint32_t>(msgs.size()));
-    for (const auto& [sender, m] : msgs) {
-      w.U32(sender);
-      w.Blob(SerializeWire(m));
-    }
-  }
-  w.U32(static_cast<uint32_t>(recent_.size()));
-  for (const auto& s : recent_) {
-    w.Blob(SerializeWire(WireMessage(s)));
-  }
-  mailbox_.SerializeTo(w);
-  // Abort-agreement durability: applied certificates (so a restored server
-  // can keep serving sibling catch-up and re-deliver idempotently) and the
-  // verified prepares gathered so far (so a restart mid-vote neither forgets
-  // its own promise nor re-collects what peers already sent and acked).
-  w.U32(static_cast<uint32_t>(abort_certs_.size()));
-  for (const auto& [round, cert] : abort_certs_) {
-    (void)round;
-    w.Blob(SerializeWire(WireMessage(cert)));
-  }
-  w.U32(static_cast<uint32_t>(abort_prepares_.size()));
-  for (const auto& [round, by_server] : abort_prepares_) {
-    w.U64(round);
-    w.U32(static_cast<uint32_t>(by_server.size()));
-    for (const auto& [sid, es] : by_server) {
-      w.U32(sid);
-      w.U64(es.first);
-      w.Blob(es.second);
-    }
-  }
-  // Scheduling: the installed keys once live; before that the cascade so
-  // far (rows, rosters and mix steps — its matrix is re-derived on restore).
-  w.Bool(live_);
-  if (live_) {
-    w.U32(static_cast<uint32_t>(logic_->pseudonym_keys().size()));
-    for (const BigInt& k : logic_->pseudonym_keys()) {
-      w.Blob(def_.group->ElementToBytes(k));
-    }
-    return w.Take();
-  }
-  w.Bool(cascade_.collecting);
-  std::vector<wire::BlameRosterEntry> collected;
-  for (const auto& [client, row_sig] : cascade_.collected) {
-    collected.push_back({client, row_sig.first, row_sig.second});
-  }
-  w.Blob(RosterFrame(static_cast<uint32_t>(index_), std::move(collected)));
-  for (size_t j = 0; j < num_servers_; ++j) {
-    const auto& roster = cascade_.rosters[j];
-    WriteOptionalBlob(w, roster.has_value() ? std::optional<Bytes>(RosterFrame(
-                                                  static_cast<uint32_t>(j), *roster))
-                                            : std::nullopt);
-    WriteOptionalBlob(w, cascade_.mix_steps[j]);
-  }
+    return true;
+  };
+  return io.Magic(kSnapshotMagic) &&
+         io.Via([&] { return logic_->SerializeState(); },
+                [&](const Bytes& state) { return logic_->RestoreState(state); },
+                [&](Bytes& state) { return io.Blob(state); }) &&
+         io.U64(next_round_to_start_) && io.U64(next_round_to_finish_) &&
+         io.U64(rounds_completed_) && io.U64(pipelined_submissions_) &&
+         io.U64(blames_completed_) && io.U64(rounds_aborted_) && io.U32(last_participation_) &&
+         io.U32(last_window_observed_) && io.U32(expelled_attached_) && io.Bool(halted_) &&
+         // Of the blame machinery only the pending flag survives a crash: a
+         // crash during an *active* instance degrades to the peers' deadlines
+         // and an inconclusive verdict (documented limitation).
+         io.Bool(blame_.pending) && io.U64(blame_.session) &&
+         io.SeqOf(rounds_, rounds_.size(), round_fields) &&
+         // Gossip buffered for rounds not yet opened: acked frames peers will
+         // never retransmit, so they must ride the snapshot.
+         io.Sorted(early_, 12, kMaxSnapshotEntries,
+                   [&](uint64_t& round, std::vector<std::pair<uint32_t, WireMessage>>& msgs) {
+                     return io.U64(round) &&
+                            io.Seq(msgs, 8, kMaxSnapshotEntries,
+                                   [&](std::pair<uint32_t, WireMessage>& m) {
+                                     return io.U32(m.first) &&
+                                            io.BlobOf(m.second, SerializeWire, ParseWire);
+                                   });
+                   }) &&
+         io.Seq(recent_, 4, kMaxSnapshotEntries,
+                [&](wire::RoundSummary& summary) { return NestedFrame(io, summary); }) &&
+         mailbox_.Fields(io) &&
+         // Abort-agreement durability: applied certificates (so a restored
+         // server can keep serving sibling catch-up and re-deliver
+         // idempotently) and the verified prepares gathered so far (so a
+         // restart mid-vote neither forgets its own promise nor re-collects
+         // what peers already sent and acked).
+         io.Sorted(abort_certs_, 4, kMaxSnapshotEntries,
+                   [&](uint64_t& round, wire::AbortCommit& cert) {
+                     return NestedFrame(io, cert) && (round = cert.round, true);
+                   }) &&
+         io.Sorted(abort_prepares_, 12, kMaxSnapshotEntries,
+                   [&](uint64_t& round, std::map<uint32_t, std::pair<uint64_t, Bytes>>& by_server) {
+                     return io.U64(round) &&
+                            io.Sorted(by_server, 16, num_servers_,
+                                      [&](uint32_t& sid, std::pair<uint64_t, Bytes>& es) {
+                                        return io.U32(sid) && io.U64(es.first) &&
+                                               io.Blob(es.second);
+                                      });
+                   }) &&
+         io.Bool(live_) && (live_ ? keys() : cascade());
+}
+
+Bytes ServerEngine::SerializeSnapshot() const {
+  Writer w;
+  Encoder e(w);
+  const_cast<ServerEngine*>(this)->SnapshotFields(e);  // the write side only reads
   return w.Take();
 }
 
 std::optional<ServerEngine::Actions> ServerEngine::RestoreSnapshot(const Bytes& snapshot,
                                                                    int64_t now_us) {
-  Reader r(snapshot);
-  std::string magic;
-  Bytes logic_state;
-  if (!r.Str(&magic) || magic != kSnapshotMagic || !r.Blob(&logic_state) ||
-      !logic_->RestoreState(logic_state)) {
-    return std::nullopt;
-  }
-  uint32_t participation = 0, window_observed = 0, expelled = 0, n_rounds = 0;
-  if (!r.U64(&next_round_to_start_) || !r.U64(&next_round_to_finish_) ||
-      !r.U64(&rounds_completed_) || !r.U64(&pipelined_submissions_) ||
-      !r.U64(&blames_completed_) || !r.U64(&rounds_aborted_) || !r.U32(&participation) ||
-      !r.U32(&window_observed) || !r.U32(&expelled) || !r.Bool(&halted_)) {
-    return std::nullopt;
-  }
-  last_participation_ = participation;
-  last_window_observed_ = window_observed;
-  expelled_attached_ = expelled;
+  // Everything the snapshot does not carry starts over; a mid-scheduling
+  // snapshot restores into a freshly opened scheduling cascade.
   blame_ = BlameState{};
   blame_early_.clear();
-  if (!r.Bool(&blame_.pending) || !r.U64(&blame_.session)) {
-    return std::nullopt;
-  }
-  if (!r.U32(&n_rounds) || n_rounds != rounds_.size()) {
-    return std::nullopt;
-  }
   for (RoundState& st : rounds_) {
-    uint64_t started = 0, close_at = 0;
-    uint32_t part = 0;
-    if (!r.U64(&st.round) || !r.Bool(&st.active) || !r.U64(&started) ||
-        !r.Bool(&st.window_closed) || !r.Bool(&st.window_timer_armed) || !r.U64(&close_at) ||
-        !r.U32(&part) || !r.Blob(&st.cleartext) || !r.Bool(&st.sent_commit) ||
-        !r.Bool(&st.sent_ct) || !r.Bool(&st.sent_sig) || !r.Bool(&st.promised_abort)) {
-      return std::nullopt;
-    }
-    st.started_us = static_cast<int64_t>(started);
-    st.window_close_at_us = static_cast<int64_t>(close_at);
-    st.participation = part;
     ClearGossip(st);
-    for (auto& inv : st.inventories) {
-      bool present = false;
-      if (!r.Bool(&present)) {
-        return std::nullopt;
-      }
-      if (present) {
-        uint32_t n = 0;
-        if (!r.U32(&n) || static_cast<size_t>(n) > r.remaining() / 4) {
-          return std::nullopt;
-        }
-        std::vector<uint32_t> ids(n);
-        for (uint32_t& id : ids) {
-          if (!r.U32(&id)) {
-            return std::nullopt;
-          }
-        }
-        inv = std::move(ids);
-      }
-    }
-    for (auto& c : st.commits) {
-      if (!ReadOptionalBlob(r, &c)) {
-        return std::nullopt;
-      }
-    }
-    for (auto& c : st.server_cts) {
-      if (!ReadOptionalBlob(r, &c)) {
-        return std::nullopt;
-      }
-    }
-    for (auto& s : st.sigs) {
-      if (!ReadOptionalBlob(r, &s)) {
-        return std::nullopt;
-      }
-    }
   }
-  early_.clear();
-  uint32_t n_early = 0;
-  if (!r.U32(&n_early) || n_early > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_early; ++i) {
-    uint64_t round = 0;
-    uint32_t n_msgs = 0;
-    if (!r.U64(&round) || !r.U32(&n_msgs) || n_msgs > (1u << 16)) {
-      return std::nullopt;
-    }
-    auto& slot = early_[round];
-    for (uint32_t k = 0; k < n_msgs; ++k) {
-      uint32_t sender = 0;
-      Bytes frame;
-      if (!r.U32(&sender) || !r.Blob(&frame)) {
-        return std::nullopt;
-      }
-      auto parsed = ParseWire(frame);
-      if (!parsed.has_value()) {
-        return std::nullopt;
-      }
-      slot.emplace_back(sender, std::move(*parsed));
-    }
-  }
-  recent_.clear();
-  uint32_t n_recent = 0;
-  if (!r.U32(&n_recent) || n_recent > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_recent; ++i) {
-    Bytes frame;
-    if (!r.Blob(&frame)) {
-      return std::nullopt;
-    }
-    auto parsed = ParseWire(frame);
-    if (!parsed.has_value() || !std::holds_alternative<wire::RoundSummary>(*parsed)) {
-      return std::nullopt;
-    }
-    recent_.push_back(std::get<wire::RoundSummary>(std::move(*parsed)));
-  }
-  if (!mailbox_.RestoreFrom(r)) {
-    return std::nullopt;
-  }
-  abort_certs_.clear();
-  abort_prepares_.clear();
   pending_certs_.clear();
   catching_up_ = false;
   catchup_timer_armed_ = false;
-  uint32_t n_certs = 0;
-  if (!r.U32(&n_certs) || n_certs > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_certs; ++i) {
-    Bytes frame;
-    if (!r.Blob(&frame)) {
-      return std::nullopt;
-    }
-    auto parsed = ParseWire(frame);
-    if (!parsed.has_value() || !std::holds_alternative<wire::AbortCommit>(*parsed)) {
-      return std::nullopt;
-    }
-    auto cert = std::get<wire::AbortCommit>(std::move(*parsed));
-    const uint64_t round = cert.round;
-    abort_certs_.emplace(round, std::move(cert));
-  }
-  uint32_t n_prep = 0;
-  if (!r.U32(&n_prep) || n_prep > (1u << 16)) {
-    return std::nullopt;
-  }
-  for (uint32_t i = 0; i < n_prep; ++i) {
-    uint64_t round = 0;
-    uint32_t n_by = 0;
-    if (!r.U64(&round) || !r.U32(&n_by) || n_by > num_servers_) {
-      return std::nullopt;
-    }
-    auto& by_server = abort_prepares_[round];
-    for (uint32_t k = 0; k < n_by; ++k) {
-      uint32_t sid = 0;
-      uint64_t epoch = 0;
-      Bytes sig;
-      if (!r.U32(&sid) || !r.U64(&epoch) || !r.Blob(&sig)) {
-        return std::nullopt;
-      }
-      by_server[sid] = {epoch, std::move(sig)};
-    }
-  }
-  cascade_ = Cascade{};
-  if (!r.Bool(&live_)) {
+  OpenCascade(wire::kScheduleSession, 1);
+  Reader r(snapshot);
+  Decoder d(r);
+  if (!SnapshotFields(d) || !r.AtEnd()) {
     return std::nullopt;
   }
   if (live_) {
-    uint32_t n_keys = 0;
-    if (!r.U32(&n_keys) || n_keys != def_.num_clients()) {
-      return std::nullopt;
-    }
-    std::vector<BigInt> keys;
-    keys.reserve(n_keys);
-    for (uint32_t i = 0; i < n_keys; ++i) {
-      Bytes kb;
-      std::optional<BigInt> k;
-      if (!r.Blob(&kb) || !(k = def_.group->ElementFromBytes(kb)).has_value()) {
-        return std::nullopt;
-      }
-      keys.push_back(std::move(*k));
-    }
-    logic_->SetPseudonymKeys(std::move(keys));
-  } else {
-    if (!sched_rng_.has_value()) {
-      return std::nullopt;  // mid-scheduling: our mix layer needs the rng
-    }
-    OpenCascade(wire::kScheduleSession, 1);
-    Bytes frame;
-    std::vector<wire::BlameRosterEntry> collected;
-    if (!r.Bool(&cascade_.collecting) || !r.Blob(&frame) ||
-        !ParseRosterFrame(frame, &collected)) {
-      return std::nullopt;
-    }
-    for (auto& e : collected) {
-      cascade_.collected.emplace(e.client_id,
-                                 std::make_pair(std::move(e.row), std::move(e.signature)));
-    }
-    for (size_t j = 0; j < num_servers_; ++j) {
-      std::optional<Bytes> roster;
-      if (!ReadOptionalBlob(r, &roster) || !ReadOptionalBlob(r, &cascade_.mix_steps[j])) {
-        return std::nullopt;
-      }
-      if (roster.has_value()) {
-        cascade_.rosters[j].emplace();
-        if (!ParseRosterFrame(*roster, &*cascade_.rosters[j])) {
-          return std::nullopt;
-        }
-      }
-    }
-  }
-  if (!r.AtEnd()) {
-    return std::nullopt;
+    cascade_ = Cascade{};
   }
   // Re-arm every backstop the crash erased. Elapsed in-crash time counts
   // against the deadlines (a deadline already past fires immediately).

@@ -211,9 +211,10 @@ class ReliableMailbox {
   // Snapshot both directions of every link (pending frames, cumulative
   // frontiers, out-of-order sets) so a restarted node neither replays
   // delivered frames nor orphans unacked ones. Restored timeouts are reset
-  // to the initial rto.
-  void SerializeTo(Writer& w) const;
-  bool RestoreFrom(Reader& r);
+  // to the initial rto. The field list of the engine snapshot's mailbox
+  // part (serialize.h); engine.cc instantiates it.
+  template <class Io>
+  bool Fields(Io& io);
 
  private:
   struct Pending {
@@ -510,6 +511,9 @@ class ServerEngine {
   RoundState* FindRound(uint64_t round);
   // Empties every per-server gossip slot of a ring entry.
   void ClearGossip(RoundState& st) const;
+  // The snapshot's one field list (SerializeSnapshot/RestoreSnapshot).
+  template <class Io>
+  bool SnapshotFields(Io& io);
   void StartRound(uint64_t round, int64_t now_us, Actions& a);
   // The pre-reliability HandleMessage body: dispatches one already-unwrapped
   // message. The public entry point peels Reliable/Ack frames first.

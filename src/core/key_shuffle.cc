@@ -1,7 +1,6 @@
 #include "src/core/key_shuffle.h"
 
 #include <atomic>
-#include <cassert>
 
 #include "src/crypto/multiexp.h"
 #include "src/util/parallel.h"
@@ -288,136 +287,87 @@ bool VerifyShuffleCascade(const GroupDef& def, const CiphertextMatrix& submissio
 
 namespace {
 
-void WriteElemVec(Writer& w, const Group& g, const std::vector<BigInt>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const BigInt& e : v) {
-    w.Raw(g.ElementToBytes(e));
-  }
+// Group elements and scalars travel as fixed-width raw bytes; reading one
+// checks subgroup membership (resp. range).
+template <class Io>
+bool Elem(Io& io, const Group& g, BigInt& e) {
+  return io.RawOf(
+      e, g.ElementBytes(), [&g](const BigInt& x) { return g.ElementToBytes(x); },
+      [&g](const Bytes& b) { return g.ElementFromBytes(b); });
+}
+template <class Io>
+bool Scalar(Io& io, const Group& g, BigInt& s) {
+  return io.RawOf(
+      s, g.ScalarBytes(), [&g](const BigInt& x) { return g.ScalarToBytes(x); },
+      [&g](const Bytes& b) { return g.ScalarFromBytes(b); });
+}
+template <class Io>
+bool Elems(Io& io, const Group& g, std::vector<BigInt>& v) {
+  return io.Seq(v, g.ElementBytes(), [&](BigInt& e) { return Elem(io, g, e); });
+}
+template <class Io>
+bool Scalars(Io& io, const Group& g, std::vector<BigInt>& v) {
+  return io.Seq(v, g.ScalarBytes(), [&](BigInt& s) { return Scalar(io, g, s); });
+}
+template <class Io>
+bool Cells(Io& io, const Group& g, std::vector<ElGamalCiphertext>& row, size_t width) {
+  return io.Each(row, width,
+                 [&](ElGamalCiphertext& ct) { return Elem(io, g, ct.a) && Elem(io, g, ct.b); });
 }
 
-bool ReadElemVec(Reader& r, const Group& g, std::vector<BigInt>* out) {
-  uint32_t count;
-  if (!r.U32(&count) || static_cast<size_t>(count) > r.remaining() / g.ElementBytes()) {
-    return false;
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    Bytes raw;
-    if (!r.Raw(g.ElementBytes(), &raw)) {
-      return false;
-    }
-    auto e = g.ElementFromBytes(raw);
-    if (!e.has_value()) {
-      return false;
-    }
-    out->push_back(*e);
-  }
-  return true;
-}
-
-void WriteScalarVec(Writer& w, const Group& g, const std::vector<BigInt>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (const BigInt& s : v) {
-    w.Raw(g.ScalarToBytes(s));
-  }
-}
-
-bool ReadScalarVec(Reader& r, const Group& g, std::vector<BigInt>* out) {
-  uint32_t count;
-  if (!r.U32(&count) || static_cast<size_t>(count) > r.remaining() / g.ScalarBytes()) {
-    return false;
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    Bytes raw;
-    if (!r.Raw(g.ScalarBytes(), &raw)) {
-      return false;
-    }
-    auto s = g.ScalarFromBytes(raw);
-    if (!s.has_value()) {
-      return false;
-    }
-    out->push_back(*s);
-  }
-  return true;
-}
-
-bool ReadElem(Reader& r, const Group& g, BigInt* out) {
-  Bytes raw;
-  if (!r.Raw(g.ElementBytes(), &raw)) {
-    return false;
-  }
-  auto e = g.ElementFromBytes(raw);
-  if (!e.has_value()) {
-    return false;
-  }
-  *out = *e;
-  return true;
-}
-
-bool ReadScalar(Reader& r, const Group& g, BigInt* out) {
-  Bytes raw;
-  if (!r.Raw(g.ScalarBytes(), &raw)) {
-    return false;
-  }
-  auto s = g.ScalarFromBytes(raw);
-  if (!s.has_value()) {
-    return false;
-  }
-  *out = *s;
-  return true;
-}
-
-void WriteMatrix(Writer& w, const Group& g, const CiphertextMatrix& m) {
-  const size_t width = m.empty() ? 0 : m[0].size();
-  w.U32(static_cast<uint32_t>(m.size()));
-  w.U32(static_cast<uint32_t>(width));
-  for (const auto& row : m) {
-    assert(row.size() == width);
-    for (const ElGamalCiphertext& ct : row) {
-      w.Raw(g.ElementToBytes(ct.a));
-      w.Raw(g.ElementToBytes(ct.b));
-    }
-  }
-}
-
-bool ReadMatrix(Reader& r, const Group& g, CiphertextMatrix* out) {
-  uint32_t rows, width;
-  if (!r.U32(&rows) || !r.U32(&width)) {
-    return false;
-  }
-  // Hostile-count guard: every cell takes two full elements; reject counts
-  // the remaining input cannot possibly hold before allocating anything.
+// [u32 rows][u32 width][cells, row-major]. Every cell takes two full
+// elements, so both counts are bounded by the remaining input before
+// anything is allocated; an empty width is refused.
+template <class Io>
+bool Matrix(Io& io, const Group& g, CiphertextMatrix& m) {
   const size_t cell = 2 * g.ElementBytes();
-  if (width == 0 || static_cast<size_t>(width) > r.remaining() / cell ||
-      static_cast<size_t>(rows) > r.remaining() / (static_cast<size_t>(width) * cell)) {
-    return false;
-  }
-  out->clear();
-  out->reserve(rows);
-  for (uint32_t i = 0; i < rows; ++i) {
-    std::vector<ElGamalCiphertext> row(width);
-    for (uint32_t l = 0; l < width; ++l) {
-      if (!ReadElem(r, g, &row[l].a) || !ReadElem(r, g, &row[l].b)) {
-        return false;
-      }
-    }
-    out->push_back(std::move(row));
-  }
-  return true;
+  uint32_t rows = static_cast<uint32_t>(m.size());
+  uint32_t width = m.empty() ? 0 : static_cast<uint32_t>(m[0].size());
+  return io.U32(rows) && io.U32(width) && io.Fits(width, cell) &&
+         io.Fits(rows, static_cast<size_t>(width) * cell) &&
+         io.Each(m, rows,
+                 [&](std::vector<ElGamalCiphertext>& row) { return Cells(io, g, row, width); });
+}
+
+template <class Io>
+bool RowFields(Io& io, const Group& g, std::vector<ElGamalCiphertext>& row,
+               size_t expected_width) {
+  uint32_t width = static_cast<uint32_t>(row.size());
+  return io.U32(width) && io.Check(width == expected_width) && Cells(io, g, row, width);
 }
 
 }  // namespace
 
+template <class Io>
+bool Fields(Io& io, MixStep& step, const Group& g) {
+  ShuffleProof& p = step.shuffle_proof;
+  const auto same_shape = [&] {
+    return step.decrypted.size() == step.shuffled.size() &&
+           (step.decrypted.empty() || step.decrypted[0].size() == step.shuffled[0].size());
+  };
+  // The DLEQ proofs, one per decrypted cell in row-major order, carry no
+  // count: the decrypted matrix's shape (already bounded by the input size)
+  // implies it.
+  return Matrix(io, g, step.shuffled) && Elem(io, g, p.gamma_commit) &&
+         Elems(io, g, p.f_elems) && Elems(io, g, p.perm_proof.ilmpp.commits) &&
+         Scalars(io, g, p.perm_proof.ilmpp.responses) && Elems(io, g, p.q_a) &&
+         Elems(io, g, p.q_b) && Elems(io, g, p.bind_t_f) && Elems(io, g, p.bind_t_qa) &&
+         Elems(io, g, p.bind_t_qb) && Scalars(io, g, p.bind_z) && Elems(io, g, p.prod_t_a) &&
+         Elems(io, g, p.prod_t_b) && Elem(io, g, p.prod_t_gamma) &&
+         Scalar(io, g, p.prod_z_s) && Scalars(io, g, p.prod_z_t) &&
+         Matrix(io, g, step.decrypted) && io.Check(same_shape()) &&
+         io.Each(step.decrypt_proofs, step.decrypted.size(), [&](std::vector<DleqProof>& row) {
+           return io.Each(row, step.decrypted[0].size(), [&](DleqProof& proof) {
+             return Elem(io, g, proof.commit1) && Elem(io, g, proof.commit2) &&
+                    Scalar(io, g, proof.response);
+           });
+         });
+}
+
 Bytes SerializeCiphertextRow(const Group& group, const std::vector<ElGamalCiphertext>& row) {
   Writer w;
-  w.U32(static_cast<uint32_t>(row.size()));
-  for (const ElGamalCiphertext& ct : row) {
-    w.Raw(group.ElementToBytes(ct.a));
-    w.Raw(group.ElementToBytes(ct.b));
-  }
+  Encoder e(w);
+  RowFields(e, group, const_cast<std::vector<ElGamalCiphertext>&>(row), row.size());
   return w.Take();
 }
 
@@ -425,94 +375,18 @@ std::optional<std::vector<ElGamalCiphertext>> ParseCiphertextRow(const Group& gr
                                                                  const Bytes& data,
                                                                  size_t expected_width) {
   Reader r(data);
-  uint32_t width;
-  if (!r.U32(&width) || width != expected_width) {
-    return std::nullopt;
-  }
-  std::vector<ElGamalCiphertext> row(width);
-  for (uint32_t l = 0; l < width; ++l) {
-    if (!ReadElem(r, group, &row[l].a) || !ReadElem(r, group, &row[l].b)) {
-      return std::nullopt;
-    }
-  }
-  if (!r.AtEnd()) {
+  Decoder d(r);
+  std::vector<ElGamalCiphertext> row;
+  if (!RowFields(d, group, row, expected_width) || !r.AtEnd()) {
     return std::nullopt;
   }
   return row;
 }
 
-Bytes SerializeMixStep(const Group& group, const MixStep& step) {
-  Writer w;
-  WriteMatrix(w, group, step.shuffled);
-  const ShuffleProof& p = step.shuffle_proof;
-  w.Raw(group.ElementToBytes(p.gamma_commit));
-  WriteElemVec(w, group, p.f_elems);
-  WriteElemVec(w, group, p.perm_proof.ilmpp.commits);
-  WriteScalarVec(w, group, p.perm_proof.ilmpp.responses);
-  WriteElemVec(w, group, p.q_a);
-  WriteElemVec(w, group, p.q_b);
-  WriteElemVec(w, group, p.bind_t_f);
-  WriteElemVec(w, group, p.bind_t_qa);
-  WriteElemVec(w, group, p.bind_t_qb);
-  WriteScalarVec(w, group, p.bind_z);
-  WriteElemVec(w, group, p.prod_t_a);
-  WriteElemVec(w, group, p.prod_t_b);
-  w.Raw(group.ElementToBytes(p.prod_t_gamma));
-  w.Raw(group.ScalarToBytes(p.prod_z_s));
-  WriteScalarVec(w, group, p.prod_z_t);
-  WriteMatrix(w, group, step.decrypted);
-  // DLEQ proofs, one per decrypted cell, in row-major order.
-  for (const auto& row : step.decrypt_proofs) {
-    for (const DleqProof& proof : row) {
-      w.Raw(group.ElementToBytes(proof.commit1));
-      w.Raw(group.ElementToBytes(proof.commit2));
-      w.Raw(group.ScalarToBytes(proof.response));
-    }
-  }
-  return w.Take();
-}
+Bytes SerializeMixStep(const Group& group, const MixStep& step) { return Encode(step, group); }
 
 std::optional<MixStep> ParseMixStep(const Group& group, const Bytes& data) {
-  Reader r(data);
-  MixStep step;
-  if (!ReadMatrix(r, group, &step.shuffled)) {
-    return std::nullopt;
-  }
-  ShuffleProof& p = step.shuffle_proof;
-  if (!ReadElem(r, group, &p.gamma_commit) || !ReadElemVec(r, group, &p.f_elems) ||
-      !ReadElemVec(r, group, &p.perm_proof.ilmpp.commits) ||
-      !ReadScalarVec(r, group, &p.perm_proof.ilmpp.responses) ||
-      !ReadElemVec(r, group, &p.q_a) || !ReadElemVec(r, group, &p.q_b) ||
-      !ReadElemVec(r, group, &p.bind_t_f) || !ReadElemVec(r, group, &p.bind_t_qa) ||
-      !ReadElemVec(r, group, &p.bind_t_qb) || !ReadScalarVec(r, group, &p.bind_z) ||
-      !ReadElemVec(r, group, &p.prod_t_a) || !ReadElemVec(r, group, &p.prod_t_b) ||
-      !ReadElem(r, group, &p.prod_t_gamma) || !ReadScalar(r, group, &p.prod_z_s) ||
-      !ReadScalarVec(r, group, &p.prod_z_t) || !ReadMatrix(r, group, &step.decrypted)) {
-    return std::nullopt;
-  }
-  // Shapes must agree before reading the per-cell DLEQ proofs (whose count is
-  // implied by the decrypted matrix, already bounded by the input size).
-  if (step.decrypted.size() != step.shuffled.size()) {
-    return std::nullopt;
-  }
-  step.decrypt_proofs.resize(step.decrypted.size());
-  for (size_t i = 0; i < step.decrypted.size(); ++i) {
-    if (step.decrypted[i].size() != step.shuffled[i].size()) {
-      return std::nullopt;
-    }
-    step.decrypt_proofs[i].resize(step.decrypted[i].size());
-    for (size_t l = 0; l < step.decrypted[i].size(); ++l) {
-      DleqProof& proof = step.decrypt_proofs[i][l];
-      if (!ReadElem(r, group, &proof.commit1) || !ReadElem(r, group, &proof.commit2) ||
-          !ReadScalar(r, group, &proof.response)) {
-        return std::nullopt;
-      }
-    }
-  }
-  if (!r.AtEnd()) {
-    return std::nullopt;
-  }
-  return step;
+  return Decode<MixStep>(data, group);
 }
 
 }  // namespace dissent

@@ -430,117 +430,63 @@ void DissentServer::AbortRound(uint64_t round) {
   }
 }
 
+// v2: each accumulator is stored with the set of clients whose pads it
+// holds. A v1 accumulator held the pads of its accepted clients with no such
+// record, so it cannot be patched exactly and is refused.
+constexpr char kStateMagic[] = "dissent.server.state.v2";
+
+template <class Io>
+bool DissentServer::StateFields(Io& io, uint64_t& base, uint64_t& newest,
+                                std::deque<SlotSchedule>& scheds, std::vector<bool>& expelled,
+                                std::vector<RoundSlot>& rounds) const {
+  const size_t n = def_.num_clients();
+  const auto client_ids = [&](std::vector<uint32_t>& ids) {
+    return io.Seq(ids, 4, n, [&](uint32_t& id) { return io.U32(id) && io.Check(id < n); });
+  };
+  uint32_t index = static_cast<uint32_t>(index_);
+  return io.Magic(kStateMagic) && io.U32(index) && io.Check(index == index_) && io.U64(base) &&
+         io.U64(newest) &&
+         io.SeqOf(scheds, pipeline_depth_, [&](SlotSchedule& s) { return Fields(io, s); }) &&
+         io.Via([&] { return Bytes(expelled.begin(), expelled.end()); },
+                [&](const Bytes& flags) {
+                  expelled.assign(flags.begin(), flags.end());
+                  return true;
+                },
+                [&](Bytes& flags) {
+                  return io.SeqOf(flags, n,
+                                  [&](uint8_t& f) { return io.U8(f) && io.Check(f <= 1); });
+                }) &&
+         // In-flight submission ring: without it a restarted server would
+         // reopen its rounds empty and could sign a *different* combined
+         // ciphertext for a round it had already gossiped (self-equivocation
+         // by amnesia). With it, restart resumes the combine exactly where
+         // the crash interrupted it.
+         io.SeqOf(rounds, pipeline_depth_, [&](RoundSlot& slot) {
+           return io.U64(slot.round) && io.Bool(slot.active) && io.Blob(slot.acc) &&
+                  client_ids(slot.acc_pads) && io.Blob(slot.server_ct) &&
+                  client_ids(slot.received_ids) &&
+                  io.Seq(slot.submitted, 8, (n + 63) / 64,
+                         [&](uint64_t& word) { return io.U64(word); });
+         });
+}
+
 Bytes DissentServer::SerializeState() const {
   Writer w;
-  // v2: each accumulator is stored with the set of clients whose pads it
-  // holds. A v1 accumulator held the pads of its accepted clients with no
-  // such record, so it cannot be patched exactly and is refused.
-  w.Str("dissent.server.state.v2");
-  w.U32(static_cast<uint32_t>(index_));
-  w.U64(sched_base_round_);
-  w.U64(newest_round_);
-  w.U32(static_cast<uint32_t>(scheds_.size()));
-  for (const SlotSchedule& s : scheds_) {
-    s.SerializeTo(w);
-  }
-  w.U32(static_cast<uint32_t>(expelled_.size()));
-  for (size_t i = 0; i < expelled_.size(); ++i) {
-    w.U8(expelled_[i] ? 1 : 0);
-  }
-  // In-flight submission ring: without it a restarted server would reopen
-  // its rounds empty and could sign a *different* combined ciphertext for a
-  // round it had already gossiped — self-equivocation by amnesia. With it,
-  // restart resumes the combine exactly where the crash interrupted it.
-  w.U32(static_cast<uint32_t>(rounds_.size()));
-  for (const RoundSlot& slot : rounds_) {
-    w.U64(slot.round);
-    w.Bool(slot.active);
-    w.Blob(slot.acc);
-    w.U32(static_cast<uint32_t>(slot.acc_pads.size()));
-    for (uint32_t id : slot.acc_pads) {
-      w.U32(id);
-    }
-    w.Blob(slot.server_ct);
-    w.U32(static_cast<uint32_t>(slot.received_ids.size()));
-    for (uint32_t id : slot.received_ids) {
-      w.U32(id);
-    }
-    w.U32(static_cast<uint32_t>(slot.submitted.size()));
-    for (uint64_t word : slot.submitted) {
-      w.U64(word);
-    }
-  }
+  Encoder e(w);
+  auto& self = const_cast<DissentServer&>(*this);  // the write side only reads
+  StateFields(e, self.sched_base_round_, self.newest_round_, self.scheds_, self.expelled_,
+              self.rounds_);
   return w.Take();
 }
 
 bool DissentServer::RestoreState(const Bytes& state) {
-  Reader r(state);
-  std::string magic;
-  uint32_t index, sched_count, expelled_count;
-  uint64_t base, newest;
-  if (!r.Str(&magic) || magic != "dissent.server.state.v2" || !r.U32(&index) ||
-      index != index_ || !r.U64(&base) || !r.U64(&newest) || !r.U32(&sched_count) ||
-      sched_count != pipeline_depth_) {
-    return false;
-  }
+  uint64_t base = 0, newest = 0;
   std::deque<SlotSchedule> scheds;
-  for (uint32_t k = 0; k < sched_count; ++k) {
-    auto s = SlotSchedule::DeserializeFrom(r);
-    if (!s.has_value()) {
-      return false;
-    }
-    scheds.push_back(std::move(*s));
-  }
-  if (!r.U32(&expelled_count) || expelled_count != def_.num_clients() ||
-      expelled_count > r.remaining()) {
-    return false;
-  }
-  std::vector<bool> expelled(expelled_count, false);
-  for (uint32_t i = 0; i < expelled_count; ++i) {
-    uint8_t b;
-    if (!r.U8(&b) || b > 1) {
-      return false;
-    }
-    expelled[i] = b != 0;
-  }
-  uint32_t ring_count;
-  if (!r.U32(&ring_count) || ring_count != pipeline_depth_) {
-    return false;
-  }
-  std::vector<RoundSlot> rounds(ring_count);
-  for (uint32_t k = 0; k < ring_count; ++k) {
-    RoundSlot& slot = rounds[k];
-    uint32_t n_pads, n_ids, n_words;
-    if (!r.U64(&slot.round) || !r.Bool(&slot.active) || !r.Blob(&slot.acc) ||
-        !r.U32(&n_pads) || n_pads > def_.num_clients()) {
-      return false;
-    }
-    slot.acc_pads.resize(n_pads);
-    for (uint32_t i = 0; i < n_pads; ++i) {
-      if (!r.U32(&slot.acc_pads[i]) || slot.acc_pads[i] >= def_.num_clients()) {
-        return false;
-      }
-    }
-    if (!r.Blob(&slot.server_ct) || !r.U32(&n_ids) || n_ids > def_.num_clients()) {
-      return false;
-    }
-    slot.received_ids.resize(n_ids);
-    for (uint32_t i = 0; i < n_ids; ++i) {
-      if (!r.U32(&slot.received_ids[i]) || slot.received_ids[i] >= def_.num_clients()) {
-        return false;
-      }
-    }
-    if (!r.U32(&n_words) || n_words > (def_.num_clients() + 63) / 64) {
-      return false;
-    }
-    slot.submitted.resize(n_words);
-    for (uint32_t i = 0; i < n_words; ++i) {
-      if (!r.U64(&slot.submitted[i])) {
-        return false;
-      }
-    }
-  }
-  if (!r.AtEnd()) {
+  std::vector<bool> expelled;
+  std::vector<RoundSlot> rounds;
+  Reader r(state);
+  Decoder d(r);
+  if (!StateFields(d, base, newest, scheds, expelled, rounds) || !r.AtEnd()) {
     return false;
   }
   scheds_ = std::move(scheds);

@@ -275,6 +275,12 @@ class DissentServer {
     std::vector<uint64_t> submitted;     // bitmap over client ids
   };
 
+  // The state's one field list, over the pieces it restores: the members
+  // when writing, temporaries when reading (so a refused state changes
+  // nothing).
+  template <class Io>
+  bool StateFields(Io& io, uint64_t& base, uint64_t& newest, std::deque<SlotSchedule>& scheds,
+                   std::vector<bool>& expelled, std::vector<RoundSlot>& rounds) const;
   RoundSlot* FindRound(uint64_t round);
   const RoundSlot* FindRound(uint64_t round) const;
   std::vector<uint32_t> ExpectedClients() const;

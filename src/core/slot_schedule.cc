@@ -70,26 +70,10 @@ DecodedOutput SlotSchedule::Decode(const Bytes& cleartext) const {
   return out;
 }
 
-void SlotSchedule::SerializeTo(Writer& w) const {
-  w.U32(default_open_length_);
-  w.U32(static_cast<uint32_t>(lengths_.size()));
-  for (uint32_t len : lengths_) {
-    w.U32(len);
-  }
-}
-
 std::optional<SlotSchedule> SlotSchedule::DeserializeFrom(Reader& r) {
-  uint32_t def_len, count;
-  if (!r.U32(&def_len) || !r.U32(&count) || static_cast<size_t>(count) > r.remaining() / 4) {
+  SlotSchedule s;
+  if (!DecodeFrom(r, s)) {
     return std::nullopt;
-  }
-  SlotSchedule s(count, def_len);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len;
-    if (!r.U32(&len) || len > kMaxSlotLength) {
-      return std::nullopt;
-    }
-    s.lengths_[i] = len;
   }
   return s;
 }

@@ -72,8 +72,15 @@ class SlotSchedule {
   bool operator!=(const SlotSchedule& o) const { return !(*this == o); }
 
   // Snapshot support (crash-recovery, see engine.h): the schedule is part of
-  // a server's serialized session state.
-  void SerializeTo(Writer& w) const;
+  // a server's serialized session state, through this field list.
+  SlotSchedule() = default;  // to decode into
+  template <class Io>
+  friend bool Fields(Io& io, SlotSchedule& s) {
+    return io.U32(s.default_open_length_) &&
+           io.Seq(s.lengths_, 4, [&io](uint32_t& len) {
+             return io.U32(len) && io.Check(len <= kMaxSlotLength);
+           });
+  }
   static std::optional<SlotSchedule> DeserializeFrom(Reader& r);
 
   // Clamp for requested lengths (guards against a disruptor opening a
@@ -82,7 +89,7 @@ class SlotSchedule {
 
  private:
   std::vector<uint32_t> lengths_;
-  uint32_t default_open_length_;
+  uint32_t default_open_length_ = 0;
 };
 
 }  // namespace dissent

@@ -12,15 +12,19 @@
 // the same AccusationSubmit/BlameRoster/BlameMix frames under session
 // kScheduleSession, and SlotKeys carries its result to the clients.
 //
-// Serialize/Parse are canonical (exactly one valid encoding per value) and
-// defensive: Parse rejects truncation, trailing bytes, unknown tags, and
+// The codec is canonical (exactly one valid encoding per value) and
+// defensive: ParseWire rejects truncation, trailing bytes, unknown tags, and
 // hostile length/count fields *before* allocating, so a malicious peer can
-// neither crash a node nor smuggle bytes under a valid signature. All
-// cryptographic payloads (commitments, Schnorr signatures) travel as opaque
-// byte strings; this layer knows nothing about groups, clocks, or sockets —
-// it is shared verbatim by the in-process transport (coordinator.h), the
-// simulated network transport (net_protocol.h), and any future real-socket
-// transport.
+// neither crash a node nor smuggle bytes under a valid signature. Each frame
+// is described once, in wire.cc: one field list that both SerializeWire and
+// ParseWire run (src/util/serialize.h), an optional read-side validity rule,
+// and one row of the tag table (tag byte and name, in variant order). A new
+// frame is a struct here, an alternative of WireMessage, one field list and
+// one tag-table row. All cryptographic payloads (commitments, Schnorr
+// signatures) travel as opaque byte strings; this layer knows nothing about
+// groups, clocks, or sockets. It is shared verbatim by the in-process
+// transport (coordinator.h), the simulated network transport
+// (net_protocol.h), and the real-socket transport (src/net).
 #ifndef DISSENT_CORE_WIRE_H_
 #define DISSENT_CORE_WIRE_H_
 
@@ -390,6 +394,22 @@ void SerializeWireTo(const WireMessage& msg, Writer& w);
 // non-canonical field values, or count fields larger than the remaining
 // input could possibly hold (the hostile-count guard).
 std::optional<WireMessage> ParseWire(const Bytes& data);
+
+// One frame of a known type carried as a blob inside another format (engine
+// snapshots keep acked gossip this way). The blob holds the frame's full
+// tagged encoding, and reading refuses any other frame type.
+template <class Io, class T>
+bool NestedFrame(Io& io, T& m) {
+  return io.BlobOf(
+      m, [](const T& v) { return SerializeWire(WireMessage(v)); },
+      [](const Bytes& b) -> std::optional<T> {
+        auto parsed = ParseWire(b);
+        if (!parsed.has_value() || !std::holds_alternative<T>(*parsed)) {
+          return std::nullopt;
+        }
+        return std::get<T>(std::move(*parsed));
+      });
+}
 
 // Ref-counted variants for broadcast fan-out: one serialized frame (or one
 // parsed message) is shared by every destination instead of copied/parsed

@@ -10,9 +10,7 @@ namespace net {
 
 namespace {
 
-enum class Tag : uint8_t {
-  kHello = 0x80,
-};
+constexpr uint8_t kHelloTag = 0x80;
 
 constexpr size_t kHmacBlock = 64;
 constexpr size_t kMacBytes = 32;
@@ -80,28 +78,23 @@ bool VerifyHello(const Bytes& secret, const Hello& hello) {
   return ConstantTimeEq(expect, hello.mac);
 }
 
-Bytes SerializeNet(const NetMessage& msg) {
-  const Hello& m = std::get<Hello>(msg);
-  Writer w;
-  w.U8(static_cast<uint8_t>(Tag::kHello));
-  w.U8(m.role);
-  w.U32(m.first_id);
-  w.U32(m.count);
-  w.U64(m.nonce);
-  w.Blob(m.mac);
-  return w.Take();
+// The hello frame's one field list, tag byte included.
+template <class Io>
+bool Fields(Io& io, Hello& m) {
+  uint8_t tag = kHelloTag;
+  return io.U8(tag) && io.Check(tag == kHelloTag) && io.U8(m.role) && io.U32(m.first_id) &&
+         io.U32(m.count) && io.U64(m.nonce) && io.Blob(m.mac) &&
+         io.Check(m.mac.size() == kMacBytes);
 }
 
+Bytes SerializeNet(const NetMessage& msg) { return Encode(std::get<Hello>(msg)); }
+
 std::optional<NetMessage> ParseNet(const Bytes& data) {
-  Reader r(data);
-  uint8_t tag;
-  Hello m;
-  if (!r.U8(&tag) || tag != static_cast<uint8_t>(Tag::kHello) || !r.U8(&m.role) ||
-      !r.U32(&m.first_id) || !r.U32(&m.count) || !r.U64(&m.nonce) || !r.Blob(&m.mac) ||
-      !r.AtEnd() || m.mac.size() != kMacBytes) {
+  auto hello = Decode<Hello>(data);
+  if (!hello.has_value()) {
     return std::nullopt;
   }
-  return NetMessage{std::move(m)};
+  return NetMessage{std::move(*hello)};
 }
 
 }  // namespace net

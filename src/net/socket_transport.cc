@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/core/wire.h"
 #include "src/util/serialize.h"
@@ -290,6 +291,8 @@ ServerNode::ServerNode(EventLoop* loop, DeployConfig cfg, size_t index)
   sibling_out_.assign(cfg_.num_servers, nullptr);
   sibling_in_.assign(cfg_.num_servers, nullptr);
   dial_backoff_us_.assign(cfg_.num_servers, 200 * 1000);
+  sibling_held_.resize(cfg_.num_servers);
+  sibling_greeted_once_.assign(cfg_.num_servers, false);
   dial_jitter_.resize(cfg_.num_servers);
   for (size_t j = 0; j < cfg_.num_servers; ++j) {
     dial_jitter_[j] = JitterSeed(cfg_.seed, index_, j);
@@ -382,6 +385,9 @@ void ServerNode::DropConnection(Connection* conn) {
   for (size_t j = 0; j < sibling_out_.size(); ++j) {
     if (sibling_out_[j] == conn) {
       sibling_out_[j] = nullptr;
+      if (sibling_greeted_once_[j]) {
+        sibling_held_[j].clear();
+      }
       // Redial with backoff (plus seeded per-link jitter) so a restarted
       // sibling regains its link without the fleet retrying in lockstep.
       const int64_t delay =
@@ -441,10 +447,14 @@ void ServerNode::OnSiblingConnected(size_t j) {
   const uint64_t nonce = static_cast<uint64_t>(loop_->NowUs()) ^ (index_ << 48);
   c->Send(SerializeNet(MakeHello(secret_, Hello::kServer, static_cast<uint32_t>(index_), 1,
                                  nonce)));
-  // Only now may protocol frames flow: anything queued while the dial was
+  // Only now may protocol frames flow: anything sent while the dial was
   // still in flight would have preceded the hello and been dropped as
-  // unauthenticated by the sibling (the reliable mailbox re-sends it).
+  // unauthenticated by the sibling. Frames held meanwhile go out now.
   c->greeted = true;
+  sibling_greeted_once_[j] = true;
+  for (auto& frame : std::exchange(sibling_held_[j], {})) {
+    c->SendFramed(std::move(frame));
+  }
 }
 
 void ServerNode::OnFrame(Connection* conn, Bytes payload) {
@@ -575,12 +585,20 @@ void ServerNode::Dispatch(ServerEngine::Actions actions) {
       cache_frame = FrameWire(*env.msg);
     }
     switch (env.to.kind) {
-      case Peer::Kind::kServer:
-        if (env.to.index < sibling_out_.size() && sibling_out_[env.to.index] != nullptr &&
-            sibling_out_[env.to.index]->greeted) {
-          sibling_out_[env.to.index]->SendFramed(cache_frame);
+      case Peer::Kind::kServer: {
+        const size_t j = env.to.index;
+        if (j >= sibling_out_.size()) {
+          break;
+        }
+        Connection* c = sibling_out_[j];
+        if (c != nullptr && c->greeted) {
+          c->SendFramed(cache_frame);
+        } else if ((c != nullptr || !sibling_greeted_once_[j]) &&
+                   sibling_held_[j].size() < kMaxHeldFrames) {
+          sibling_held_[j].push_back(cache_frame);
         }
         break;
+      }
       case Peer::Kind::kClient: {
         auto it = client_conn_.find(env.to.index);
         if (it != client_conn_.end()) {

@@ -191,6 +191,16 @@ class ServerNode {
   std::vector<Connection*> sibling_out_;   // outbound, index j (self null)
   std::vector<Connection*> sibling_in_;    // inbound identified as server j
   std::vector<int64_t> dial_backoff_us_;   // per-sibling redial backoff
+  // Frames for sibling j that no greeted link could take yet. They are held
+  // while a dial is in flight and, until j's first hello, also between a
+  // refused dial and its redial (at fleet start every server dials siblings
+  // that are not listening yet). The next hello sends them instead of a
+  // retransmission timeout. Once j has been greeted, a failed dial frees
+  // them and the reliable mailbox heals the loss; kMaxHeldFrames bounds
+  // the rest.
+  static constexpr size_t kMaxHeldFrames = 1024;
+  std::vector<std::vector<std::shared_ptr<const Bytes>>> sibling_held_;
+  std::vector<bool> sibling_greeted_once_;
   // Per-link jitter streams for the redial backoff, seeded from
   // (cfg.seed, self, sibling) and advanced once per retry: desynchronizes
   // reconnect storms deterministically (same seed -> same schedule).
